@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.flow import ALGORITHMS
-from repro.flow.feasibility import (
-    classify_network,
+from repro.flow.feasibility import classify_network
+from repro.flow.oracles import (
     classify_network_cold,
     max_unsaturation_margin_cold,
     max_unsaturation_margin_probe,

@@ -31,12 +31,8 @@ import numpy as np
 import pytest
 
 from repro.flow import ALGORITHMS
-from repro.flow.feasibility import (
-    NetworkClass,
-    classify_network,
-    classify_region,
-    max_unsaturation_margin_probe,
-)
+from repro.flow.feasibility import NetworkClass, classify_network, classify_region
+from repro.flow.oracles import max_unsaturation_margin_probe
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from repro.errors import InfeasibleNetworkError
 from repro.flow.feasibility import max_unsaturation_margin
+from repro.flow.parametric import breakpoint_envelope
 from repro.network.spec import NetworkSpec
 from repro.numeric import common_denominator, scale_int
 
@@ -60,7 +61,7 @@ def generalized_growth_bound(spec: NetworkSpec) -> int:
     )
 
 
-def paper_epsilon(spec: NetworkSpec, *, tol: Fraction | None = None) -> Fraction:
+def paper_epsilon(spec: NetworkSpec) -> Fraction:
     """The ε of Section III: ``min_s (Φ(s*, s) − in(s))`` maximised over
     unsaturated flows Φ.
 
@@ -69,10 +70,11 @@ def paper_epsilon(spec: NetworkSpec, *, tol: Fraction | None = None) -> Fraction
     ``ε = m · min_s in(s)`` — now *exact*, since the margin comes from
     the parametric breakpoint envelope rather than a bisection bracket.
     Raises for saturated/infeasible networks, where no positive ε exists.
-    ``tol`` is deprecated and ignored (forwarded for the margin's own
-    deprecation warning when passed).
     """
-    margin = max_unsaturation_margin(spec.extended(), tol=tol)
+    return _epsilon_from_margin(spec, max_unsaturation_margin(spec.extended()))
+
+
+def _epsilon_from_margin(spec: NetworkSpec, margin: Fraction) -> Fraction:
     if margin <= 0:
         raise InfeasibleNetworkError(
             "paper ε undefined: the network is not unsaturated (Definition 4)"
@@ -119,16 +121,14 @@ def lemma1_bound(spec: NetworkSpec, y: Fraction) -> Fraction:
     return property2_threshold(spec, y) + property1_bound(spec)
 
 
-def compute_bounds(spec: NetworkSpec, *, tol: Fraction | None = None) -> PaperBounds:
+def compute_bounds(spec: NetworkSpec) -> PaperBounds:
     """Compute every Section III constant for an unsaturated network.
 
-    ``tol`` is deprecated and ignored — all constants are exact now that
-    the unsaturation margin is.
+    ε and ``f*`` both come from one breakpoint envelope (one cold solve).
     """
-    from repro.flow.feasibility import f_star as f_star_fn
-
-    eps = paper_epsilon(spec, tol=tol)
-    fs = Fraction(f_star_fn(spec.extended()))
+    env = breakpoint_envelope(spec.extended())
+    eps = _epsilon_from_margin(spec, env.lambda_star - 1)
+    fs = env.f_star
     y = y_constant(spec, fs, eps)
     return PaperBounds(
         n=spec.n,

@@ -20,7 +20,9 @@ implements, from scratch:
   envelope: the exact critical scalar λ* and the full piecewise-linear
   min-cut envelope along a ray in rate space, one cold solve per ray,
 * :mod:`~repro.flow.feasibility` — Definitions 3–4: feasible, unsaturated,
-  saturated; the exact ε margin via the envelope; ``f*`` — all warm,
+  saturated; the exact ε margin via the envelope; ``f*`` — all probes of
+  the envelope's scaled-integer ladder (the cold twins live in
+  :mod:`~repro.flow.oracles`, which this package does not export),
 * :mod:`~repro.flow.decomposition` — flow → path decomposition, used by the
   maximum-flow routing baseline (the ``E_t^Φ`` of the proofs).
 """
@@ -42,7 +44,6 @@ from repro.flow.parametric import (
     BreakpointEnvelope,
     EnvelopeSegment,
     breakpoint_envelope,
-    critical_lambda,
 )
 from repro.flow.decomposition import (
     PathDecomposition,
@@ -77,7 +78,6 @@ __all__ = [
     "BreakpointEnvelope",
     "EnvelopeSegment",
     "breakpoint_envelope",
-    "critical_lambda",
     "ParametricMaxFlow",
     "source_arc_updates",
     "PathDecomposition",

@@ -23,22 +23,30 @@ The payoff is the exact critical scalar
 
 as a :class:`~fractions.Fraction` — the feasibility frontier along the
 ray — instead of a bisection bracket.  ``max_unsaturation_margin`` and
-the region experiments ride on it; the PR 5 warm bracket/bisection
-twins survive as differential oracles.
+the region experiments ride on it.
 
-Every quantity here is a ``Fraction``; no floats enter.
+The same ladder of warm engines answers Definitions 3–4 for
+:func:`~repro.flow.feasibility.classify_network`: it cold-solves at
+``λ = 1`` and probes ``1 + ε`` and the plateau.  Engines run on scaled
+integers (:mod:`repro.numeric`) and fall back to ``Fraction`` past the
+magnitude guard; results are ``Fraction``s either way, and no floats
+enter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional
+from math import ceil, lcm
+from typing import Mapping, NamedTuple, Optional
+
+import numpy as np
 
 from repro.flow.residual import FlowError, FlowProblem
 from repro.flow.warmstart import ParametricMaxFlow
-from repro.graphs.extended import ArcKind, ExtendedGraph
+from repro.graphs.extended import ExtendedGraph
+from repro.numeric import INT_SCALE_LIMIT, note_fraction_fallback, scale_int, try_scale
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 
@@ -46,7 +54,6 @@ __all__ = [
     "EnvelopeSegment",
     "BreakpointEnvelope",
     "breakpoint_envelope",
-    "critical_lambda",
 ]
 
 
@@ -89,7 +96,6 @@ class BreakpointEnvelope:
     algorithm: str
     cold_solves: int
     probes: int
-    warm_steps: int
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -119,21 +125,6 @@ class BreakpointEnvelope:
         return 0 <= lam <= self.lambda_star
 
 
-def _exact_problem_at_zero(ext: ExtendedGraph) -> FlowProblem:
-    """The λ = 0 instance: every parametric source arc closed, exact caps."""
-    override = {v: Fraction(0) for v in ext.in_rates}
-    p = FlowProblem.from_extended(ext, source_cap_override=override)
-    return FlowProblem._trusted(
-        n=p.n,
-        tails=p.tails,
-        heads=p.heads,
-        capacities=[Fraction(c) if not isinstance(c, Fraction) else c
-                    for c in p.capacities],
-        source=p.source,
-        sink=p.sink,
-    )
-
-
 def _normalize_direction(ext: ExtendedGraph, direction) -> dict[int, Fraction]:
     """Validate a ray and coerce it to ``{node: Fraction d(v) > 0}``."""
     if direction is None:
@@ -159,76 +150,149 @@ def _normalize_direction(ext: ExtendedGraph, direction) -> dict[int, Fraction]:
     return out
 
 
-class _Ladder:
-    """Warm-engine bank: solved λ values with their engines, sorted.
+class _Line(NamedTuple):
+    """A cut's value line ``slope·λ + intercept`` and the cut itself."""
 
-    ``probe(λ)`` forks the engine at the largest solved ``λ' ≤ λ`` and
-    re-augments the parametric arcs up to ``λ · d`` — monotone by
-    construction, so :meth:`ParametricMaxFlow.raise_arc_capacities` never
-    sees a decrease.  Exactly one cold solve happens in ``__init__``
-    (the trivial λ = 0 instance).
+    slope: Fraction
+    intercept: Fraction
+    arcs: tuple[int, ...]
+    side: tuple[int, ...]
+
+    def at(self, lam: Fraction) -> Fraction:
+        return self.slope * lam + self.intercept
+
+
+class _Ladder:
+    """Warm-engine bank along one ray: solved λ values with their engines.
+
+    The one engine behind every feasibility question.  ``__init__`` pays
+    the only cold solve, at ``first``; ``probe(λ)`` forks the engine at
+    the largest solved ``λ' ≤ λ`` and re-augments the parametric arcs up
+    to ``λ · d`` — monotone by construction, so
+    :meth:`ParametricMaxFlow.raise_arc_capacities` never sees a decrease.
+
+    Number policy: every engine runs on integers, its capacities scaled
+    by one common denominator (:mod:`repro.numeric`).  A fork whose probe
+    needs a finer denominator rescales its residual by an integer factor.
+    When a scale or a scaled capacity would pass ``INT_SCALE_LIMIT``, the
+    fork continues exactly on ``Fraction`` (scale ``None``), as does every
+    later fork of this ladder, and the ladder records one fallback.
     """
 
     def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Fraction],
-                 algorithm: str) -> None:
-        problem = _exact_problem_at_zero(ext)
-        base = ParametricMaxFlow(problem, algorithm)
+                 algorithm: str, first: Fraction = Fraction(0)) -> None:
+        self._ext = ext
+        self.fell_back = False
         self._param_arcs: dict[int, Fraction] = {}
-        for j, kind in enumerate(ext.kinds):
-            if kind is ArcKind.SOURCE:
-                d = direction.get(int(ext.refs[j]))
-                if d is not None:
-                    self._param_arcs[j] = d
-        # Fixed capacities come from the λ=0 instance, not the extended
-        # graph: injection nodes outside the direction support have their
-        # source arcs pinned to 0 there, and that 0 is what any cut pays.
-        self._fixed_caps = tuple(problem.capacities)
-        self._lams: list[Fraction] = [Fraction(0)]
-        self._engines: list[ParametricMaxFlow] = [base]
-        self.probes = 0
-        self.warm_steps = 0
-
-    def probe(self, lam: Fraction) -> tuple[Fraction, tuple[int, ...]]:
-        """Exact v(lam) plus the min-side cut mask (node tuple)."""
-        i = bisect_right(self._lams, lam) - 1
-        if self._lams[i] == lam:
-            engine = self._engines[i]
+        caps = list(ext.capacities)
+        for j in np.flatnonzero(ext.tails == ext.s_star).tolist():
+            d = direction.get(int(ext.refs[j]))
+            if d is None:
+                # Injection nodes outside the direction support keep their
+                # source arcs pinned to 0, and that 0 is what any cut pays.
+                caps[j] = 0
+            else:
+                self._param_arcs[j] = d = Fraction(d)
+                caps[j] = first * d
+        scaled = try_scale(caps)
+        if scaled is None:
+            caps, scale = [Fraction(c) for c in caps], None
+            self._fall_back()
         else:
-            engine = self._engines[i].fork()
-            updates = {j: lam * d for j, d in self._param_arcs.items()}
-            engine.raise_arc_capacities(updates)
-            self.warm_steps += 1
-            self._lams.insert(i + 1, lam)
-            self._engines.insert(i + 1, engine)
-            self.probes += 1
-        mask = engine.result.source_side()
-        side = tuple(int(v) for v in range(engine.problem.n) if mask[v])
-        return engine.value, side
+            caps, scale = scaled
+        tails, heads = ext.arc_lists
+        problem = FlowProblem._trusted(n=ext.n, tails=tails, heads=heads, capacities=caps,
+                                       source=ext.s_star, sink=ext.d_star)
+        # fixed capacities in the base engine's units (scale _fixed_den);
+        # _fixed_top bounds them at any finer scale
+        self._fixed_caps = caps
+        self._fixed_den = scale or 1
+        self._fixed_top = max(caps, default=0)
+        self._lams = [Fraction(first)]
+        self._rungs = [(ParametricMaxFlow(problem, algorithm), scale)]
+        self.probes = 0
 
-    def line_of(self, side: tuple[int, ...], ext: ExtendedGraph,
-                ) -> tuple[Fraction, Fraction, tuple[int, ...]]:
-        """(slope, intercept, crossing arcs) of the cut named by ``side``.
+        # Past ``plateau`` every parametric arc carries more than the total
+        # sink capacity, so v(λ) is flat there; it sits above ``first`` so
+        # it is always a fresh rung.
+        total_out = sum((Fraction(r) for r in ext.out_rates.values()),
+                        start=Fraction(0))
+        d_min = min(self._param_arcs.values(), default=Fraction(1))
+        self.plateau = Fraction(max(ceil(Fraction(total_out + 1, d_min)),
+                                    ceil(first) + 1))
+
+    def _fall_back(self) -> None:
+        if not self.fell_back:
+            self.fell_back = True
+            note_fraction_fallback()
+
+    def _fit(self, engine: ParametricMaxFlow, scale: Optional[int],
+             caps) -> Optional[int]:
+        """Rescale a fork so ``caps`` are integers; return its new scale."""
+        if scale is None:
+            return None
+        if not self.fell_back:
+            new = lcm(scale, *(c.denominator for c in caps))
+            top = max([self._fixed_top * (new // self._fixed_den),
+                       *(c.numerator * (new // c.denominator) for c in caps)])
+            if new <= INT_SCALE_LIMIT and top <= INT_SCALE_LIMIT:
+                if new != scale:
+                    engine.rescale(new // scale)
+                return new
+            self._fall_back()
+        engine.rescale(Fraction(1, scale))
+        return None
+
+    def probe(self, lam: Fraction, *, target: Optional[Fraction] = None,
+              ) -> tuple[Fraction, ParametricMaxFlow]:
+        """Exact ``v(lam)`` (``lam ≥ first``) and its engine, solved warm if new.
+
+        ``target`` is an optional early stop: a value no flow at ``lam``
+        can exceed (the total source capacity), passed on to
+        :meth:`ParametricMaxFlow.raise_arc_capacities`.
+        """
+        i = bisect_right(self._lams, lam) - 1
+        assert i >= 0, f"ladder starts at λ={self._lams[0]}, cannot probe {lam}"
+        if self._lams[i] != lam:
+            engine = self._rungs[i][0].fork()
+            caps = {j: lam * d for j, d in self._param_arcs.items()}
+            scale = self._fit(engine, self._rungs[i][1], caps.values())
+            if scale is not None:
+                caps = {j: scale_int(c, scale) for j, c in caps.items()}
+                if target is not None:
+                    target = scale_int(target, scale)
+            engine.raise_arc_capacities(caps, target_value=target)
+            self.probes += 1
+            i += 1
+            self._lams.insert(i, lam)
+            self._rungs.insert(i, (engine, scale))
+        engine, scale = self._rungs[i]
+        return Fraction(engine.value, scale or 1), engine
+
+    def line_of(self, engine: ParametricMaxFlow) -> _Line:
+        """The tangent line of the engine's min-side cut.
 
         Computed from the side mask directly — never from
         :func:`~repro.flow.mincut.min_cut`'s arc list, which drops
         zero-capacity arcs and so would lose every parametric arc at λ = 0.
         """
-        in_side = set(side)
+        inside = engine.result.source_side().tolist()
+        tails, heads = self._ext.arc_lists
         slope = Fraction(0)
-        intercept = Fraction(0)
+        intercept = 0
         crossing: list[int] = []
-        for j in range(len(ext.tails)):
-            if int(ext.tails[j]) in in_side and int(ext.heads[j]) not in in_side:
+        for j in range(len(tails)):
+            if inside[tails[j]] and not inside[heads[j]]:
                 d = self._param_arcs.get(j)
                 if d is not None:
                     slope += d
                     crossing.append(j)
-                else:
-                    cap = self._fixed_caps[j]
-                    if cap > 0:
-                        intercept += cap
-                        crossing.append(j)
-        return slope, intercept, tuple(crossing)
+                elif self._fixed_caps[j] > 0:
+                    intercept += self._fixed_caps[j]
+                    crossing.append(j)
+        side = tuple(v for v, on in enumerate(inside) if on)
+        return _Line(slope, Fraction(intercept, self._fixed_den),
+                     tuple(crossing), side)
 
 
 def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
@@ -251,34 +315,25 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         # Tangent at λ = 0: the min cut is exactly {s*} (all parametric
         # arcs closed, so no residual arc leaves s*), giving the demand
         # line itself: v ≥ 0 = λ·Σd at the origin with slope Σd.
-        v0, side0 = ladder.probe(Fraction(0))
+        v0, engine0 = ladder.probe(Fraction(0))
         assert v0 == 0, "λ=0 instance must have zero max flow"
-        line0 = ladder.line_of(side0, ext)
-        assert line0[0] == arrival_slope and line0[1] == 0, (
+        line0 = ladder.line_of(engine0)
+        assert line0.slope == arrival_slope and line0.intercept == 0, (
             "cut at λ=0 must be the demand line", line0)
 
         # Tangent on the plateau: beyond λ_end every parametric arc's
         # capacity exceeds any possible flow (total fixed sink capacity
         # + 1), so the binding cut excludes all of them — slope 0.
-        total_out = sum((Fraction(r) for r in ext.out_rates.values()),
-                        start=Fraction(0))
-        d_min = min(direction.values())
-        lam_end = (total_out + 1) / d_min
-        v_end, side_end = ladder.probe(lam_end)
-        line_end = ladder.line_of(side_end, ext)
-        if line_end[0] != 0:
+        lam_end = ladder.plateau
+        line_end = ladder.line_of(ladder.probe(lam_end)[1])
+        if line_end.slope != 0:
             raise FlowError(
                 f"plateau cut still crosses parametric arcs at λ={lam_end}"
             )
 
-        pieces: list[tuple[Fraction, Fraction,
-                           tuple[Fraction, Fraction, tuple[int, ...]],
-                           tuple[int, ...]]] = []
+        pieces: list[tuple[Fraction, Fraction, _Line]] = []
 
-        def emit(lo, hi, line, side):
-            pieces.append((lo, hi, line, side))
-
-        def refine(lo, line_lo, side_lo, hi, line_hi, side_hi):
+        def refine(lo, line_lo, hi, line_hi):
             """Resolve the envelope on [lo, hi] given tangents at the ends.
 
             Concavity plus tangency does all the work: the two tangent
@@ -288,55 +343,50 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
             wedged between chord and tangent); otherwise the probe at λ_x
             yields a strictly lower tangent and we recurse on both halves.
             """
-            if line_lo[0] == line_hi[0]:
+            if line_lo.slope == line_hi.slope:
                 # Equal slopes with both tangent ⇒ same line (concavity
                 # forbids two parallel tangents with different intercepts
                 # touching on one interval unless they coincide).
-                emit(lo, hi, line_lo, side_lo)
+                pieces.append((lo, hi, line_lo))
                 return
-            lam_x = (line_hi[1] - line_lo[1]) / (line_lo[0] - line_hi[0])
+            lam_x = Fraction(line_hi.intercept - line_lo.intercept,
+                             line_lo.slope - line_hi.slope)
             if lam_x == lo:
-                emit(lo, hi, line_hi, side_hi)
+                pieces.append((lo, hi, line_hi))
                 return
             if lam_x == hi:
-                emit(lo, hi, line_lo, side_lo)
+                pieces.append((lo, hi, line_lo))
                 return
-            v_x, side_x = ladder.probe(lam_x)
-            if v_x == line_lo[0] * lam_x + line_lo[1]:
-                emit(lo, lam_x, line_lo, side_lo)
-                emit(lam_x, hi, line_hi, side_hi)
+            v_x, engine_x = ladder.probe(lam_x)
+            if v_x == line_lo.at(lam_x):
+                pieces.append((lo, lam_x, line_lo))
+                pieces.append((lam_x, hi, line_hi))
                 return
-            line_x = ladder.line_of(side_x, ext)
-            assert line_x[0] * lam_x + line_x[1] == v_x, "cut does not certify probe"
-            refine(lo, line_lo, side_lo, lam_x, line_x, side_x)
-            refine(lam_x, line_x, side_x, hi, line_hi, side_hi)
+            line_x = ladder.line_of(engine_x)
+            assert line_x.at(lam_x) == v_x, "cut does not certify probe"
+            refine(lo, line_lo, lam_x, line_x)
+            refine(lam_x, line_x, hi, line_hi)
 
-        refine(Fraction(0), line0, side0, lam_end, line_end, side_end)
+        refine(Fraction(0), line0, lam_end, line_end)
 
         # Merge adjacent pieces that carry the same line, then stretch the
         # final (slope-0 plateau) piece to +∞.
         segments: list[EnvelopeSegment] = []
-        for lo, hi, line, side in pieces:
+        for lo, hi, line in pieces:
             if segments and (segments[-1].slope, segments[-1].intercept) == line[:2]:
-                prev = segments[-1]
-                segments[-1] = EnvelopeSegment(prev.lo, hi, prev.slope,
-                                               prev.intercept, prev.cut_side,
-                                               prev.cut_arcs)
+                segments[-1] = replace(segments[-1], hi=hi)
             else:
-                segments.append(EnvelopeSegment(lo, hi, line[0], line[1],
-                                                side, line[2]))
-        last = segments[-1]
-        assert last.slope == 0, "final envelope segment must be the plateau"
-        segments[-1] = EnvelopeSegment(last.lo, None, last.slope,
-                                       last.intercept, last.cut_side,
-                                       last.cut_arcs)
+                segments.append(EnvelopeSegment(lo, hi, line.slope, line.intercept,
+                                                line.side, line.arcs))
+        assert segments[-1].slope == 0, "final envelope segment must be the plateau"
+        segments[-1] = replace(segments[-1], hi=None)
 
         # λ* = sup { λ : v(λ) = λ·Σd }: the first (smallest-λ) crossing of
         # the demand line with a strictly-shallower envelope line.  The
         # plateau has slope 0 < Σd, so the minimum is over a non-empty set
         # and λ* is always finite.
         lambda_star = min(
-            seg.intercept / (arrival_slope - seg.slope)
+            Fraction(seg.intercept, arrival_slope - seg.slope)
             for seg in segments if seg.slope < arrival_slope
         )
 
@@ -358,11 +408,4 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         algorithm=algorithm,
         cold_solves=1,
         probes=ladder.probes,
-        warm_steps=ladder.warm_steps,
     )
-
-
-def critical_lambda(ext: ExtendedGraph, direction=None, *,
-                    algorithm: str = "dinic") -> Fraction:
-    """The exact feasibility frontier λ* along a ray (see module docs)."""
-    return breakpoint_envelope(ext, direction, algorithm=algorithm).lambda_star

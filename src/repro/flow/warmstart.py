@@ -25,8 +25,9 @@ solve) and answers each subsequent capacity increase *incrementally*:
     expensive part — the flow itself — always carries over.
 
 Everything is exact: capacities stay whatever number type the problem
-uses (the feasibility stack uses :class:`fractions.Fraction` throughout),
-and each step's :class:`~repro.flow.residual.FlowResult` supports
+uses (the feasibility stack runs scaled integers, falling back to
+:class:`fractions.Fraction` past the magnitude guard — see
+:meth:`ParametricMaxFlow.rescale`), and each step's :class:`~repro.flow.residual.FlowResult` supports
 ``min_cut`` / ``is_unique_min_cut`` unchanged because warm-started
 residuals are indistinguishable from cold ones.
 
@@ -314,6 +315,26 @@ class ParametricMaxFlow:
         clone.warm_arc_pushes = self.warm_arc_pushes
         clone._result = None
         return clone
+
+    def rescale(self, factor: Number) -> None:
+        """Multiply every capacity, residual slot and the flow value by ``factor``.
+
+        ``factor`` is a positive int (refine an integer scale so a new
+        probe's capacities stay integral) or a ``Fraction`` (leave the
+        integer scale for exact ``Fraction`` units).  Positive scaling
+        keeps every residual's sign, so the flow stays maximum, heights
+        stay valid and later steps take the same decisions.
+        """
+        res = self._res
+        p = res.problem
+        res.residual = [r * factor for r in res.residual]
+        res.problem = FlowProblem._trusted(
+            n=p.n, tails=p.tails, heads=p.heads,
+            capacities=[c * factor for c in p.capacities],
+            source=p.source, sink=p.sink,
+        )
+        self._value = self._value * factor
+        self._result = None
 
     # -- the parametric step -------------------------------------------
     def raise_arc_capacities(

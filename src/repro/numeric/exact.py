@@ -53,20 +53,20 @@ class ScaledValues(NamedTuple):
     denominator: int
 
 
-def _as_fraction(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value: Rational) -> Rational:
+    """``value`` as an int or a Fraction — both expose an exact
+    ``numerator`` / ``denominator`` pair, so ints need no conversion."""
+    if type(value) is int or isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    # bool is an int subclass and already handled; floats are deliberately
-    # converted through Fraction's exact binary expansion so nothing here
-    # ever rounds — but exact callers should not be passing floats at all.
+    # floats (and other number types) are deliberately converted through
+    # Fraction's exact expansion so nothing here ever rounds — but exact
+    # callers should not be passing floats at all.
     return Fraction(value)
 
 
 def common_denominator(values: Iterable[Rational]) -> int:
     """The lcm of the denominators of ``values`` (1 for an empty batch)."""
-    dens = [_as_fraction(v).denominator for v in values]
+    dens = [_as_rational(v).denominator for v in values]
     return lcm(*dens) if dens else 1
 
 
@@ -77,7 +77,7 @@ def scale_int(value: Rational, denominator: int) -> int:
     multiple of ``value``'s own denominator (the scaling would not be
     integral — a caller bug, never a rounding opportunity).
     """
-    f = _as_fraction(value)
+    f = _as_rational(value)
     num = f.numerator * denominator
     q, r = divmod(num, f.denominator)
     if r:
@@ -97,7 +97,7 @@ def try_scale(
     fallback: the caller must then take the ``Fraction`` path.  Never
     raises for in-domain rationals and never rounds.
     """
-    fracs = [_as_fraction(v) for v in values]
+    fracs = [_as_rational(v) for v in values]
     den = lcm(*[f.denominator for f in fracs]) if fracs else 1
     if den > limit:
         return None

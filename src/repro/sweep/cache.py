@@ -116,8 +116,9 @@ def canonical_ray_key(spec: NetworkSpec, direction=None) -> str:
 
 
 class FeasibilityCache:
-    """Memo table for :func:`repro.flow.classify_network` keyed by
-    :func:`canonical_spec_key`.
+    """Memo table for the flow verdicts of a network: ``classify`` entries
+    keyed by :func:`canonical_spec_key`, ``envelope`` and ``region``
+    entries by :func:`canonical_ray_key`.
 
     ``max_entries`` bounds the table (insertion-order eviction — sweep
     grids revisit cells in bursts, so oldest-first is the right victim);
@@ -171,7 +172,7 @@ class FeasibilityCache:
             self.evictions += evicted
         if reg.enabled:
             reg.counter("repro_feasibility_cache_misses_total",
-                        "FeasibilityCache lookups that ran classify_network.").inc()
+                        "FeasibilityCache lookups that computed a classify, envelope or region entry.").inc()
             if evicted:
                 reg.counter("repro_feasibility_cache_evictions_total",
                             "FeasibilityCache entries evicted (max_entries).").inc(evicted)
@@ -181,10 +182,9 @@ class FeasibilityCache:
         """``classify_network(spec.extended(), algorithm)``, memoized.
 
         A miss pays exactly one cold max-flow solve: ``classify_network``
-        runs its base / ε-scaled / ``f*`` chain on a single warm-started
-        :class:`~repro.flow.warmstart.ParametricMaxFlow` engine, so the
-        cache's unit of work is "one cold solve plus two parametric
-        steps", not three independent solves.
+        cold-solves at the nominal rates (λ = 1), then probes λ = 1 + ε
+        (feasible networks only) and the ``f*`` plateau as warm steps of
+        one parametric ladder.
         """
         def compute():
             from repro.flow.feasibility import classify_network

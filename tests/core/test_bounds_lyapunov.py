@@ -3,8 +3,10 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.core import SimulationConfig, Simulator, bounds, lyapunov, simulate_lgg
 from repro.errors import InfeasibleNetworkError
+from repro.flow import f_star
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
 
@@ -47,6 +49,23 @@ class TestBoundConstants:
         assert b.decrease_threshold == b.n * b.y**2
         assert b.lemma1_cap == b.decrease_threshold + b.growth_bound
         assert b.f_star >= 1
+
+    def test_compute_bounds_is_one_cold_solve(self):
+        spec = unsaturated_spec()
+        prev = obs.configure(metrics=True)
+        try:
+            counter = obs.get_registry().counter(
+                "repro_flow_solves_total", "", ("algorithm",))
+
+            def total():
+                return sum(inst.value for _labels, inst in counter._series())
+
+            before = total()
+            b = bounds.compute_bounds(spec)
+            assert total() - before == 1  # ε and f* share one envelope
+        finally:
+            obs.configure(**prev)
+        assert b.f_star == f_star(spec.extended())
 
 
 class TestLyapunovIdentities:

@@ -21,13 +21,12 @@ from hypothesis import strategies as st
 
 from repro.errors import FlowError
 from repro.flow import ALGORITHMS
-from repro.flow.feasibility import (
-    _exact_problem,
-    max_unsaturation_margin,
+from repro.flow.feasibility import _exact_problem, max_unsaturation_margin
+from repro.flow.maxflow import max_flow
+from repro.flow.oracles import (
     max_unsaturation_margin_cold,
     max_unsaturation_margin_probe,
 )
-from repro.flow.maxflow import max_flow
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.graphs.multigraph import MultiGraph
@@ -80,13 +79,6 @@ class TestExactMarginCertificate:
         margin = max_unsaturation_margin(ext)
         if not _feasible_at(ext, Fraction(0)):
             assert margin == 0
-
-    @given(ext=random_networks())
-    @settings(max_examples=10, deadline=None)
-    def test_tol_is_deprecated_but_ignored(self, ext):
-        exact = max_unsaturation_margin(ext)
-        with pytest.deprecated_call():
-            assert max_unsaturation_margin(ext, tol=Fraction(1, 4)) == exact
 
 
 class TestProbeBracketsExact:

@@ -26,7 +26,7 @@ from repro.flow import (
     min_cut,
     source_arc_updates,
 )
-from repro.flow.feasibility import classify_network_cold
+from repro.flow.oracles import classify_network_cold
 from repro.flow.maxflow import max_flow
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen

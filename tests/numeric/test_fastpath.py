@@ -2,8 +2,9 @@
 
 Two fast paths share the ``repro.numeric`` contract "bit-identical or
 decline": the integer LGG kernel (:mod:`repro.core.fastpath`, auto-engaged
-by the scalar and batched engines) and the scaled-integer feasibility
-classifier (:func:`repro.flow.classify_network`).  Both keep their slow
+by the scalar and batched engines) and the scaled-integer parametric
+ladder behind :func:`repro.flow.classify_network`,
+:func:`repro.flow.breakpoint_envelope` and :func:`repro.flow.classify_region`.  Both keep their slow
 twin alive as the oracle — the stage pipeline (``numeric_fastpath=False``)
 and the pure-``Fraction`` :func:`classify_network_cold` — and this module
 asserts exact equality across randomized instances:
@@ -12,7 +13,8 @@ asserts exact equality across randomized instances:
   tie-breaks x optional initial queues x optional queue recording, scalar
   and batched backends, full trajectory equality;
 * flow: all-integral and mixed-denominator capacity specs x every
-  registered algorithm, full report equality, with the engagement
+  registered algorithm, full report equality (envelopes: λ* and every
+  segment checked by independent cold solves), with the engagement
   counters asserting *zero* Fraction fallbacks on scalable specs and a
   recorded fallback (still exact) when a pathological denominator trips
   the magnitude guard.
@@ -31,8 +33,10 @@ from repro.core.ensemble import EnsembleSimulator
 from repro.core.tiebreak import TieBreak
 from repro.errors import SimulationError
 from repro.exp.workloads import bottleneck_spec
-from repro.flow import ALGORITHMS
-from repro.flow.feasibility import classify_network, classify_network_cold
+from repro.flow import ALGORITHMS, breakpoint_envelope, classify_region
+from repro.flow.feasibility import _exact_problem, classify_network
+from repro.flow.maxflow import max_flow
+from repro.flow.oracles import classify_network_cold
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -197,6 +201,29 @@ def _flow_instance(seed: int, denominators):
     return build_extended_graph(g, in_rates, out_rates)
 
 
+def _cold_value_at(ext, lam, algorithm):
+    caps = {v: lam * Fraction(r) for v, r in ext.in_rates.items()}
+    return max_flow(_exact_problem(ext, source_cap_override=caps), algorithm).value
+
+
+def assert_envelope_matches_cold(ext, env, algorithm):
+    """λ* is the exact frontier and every segment the exact max flow,
+    both by independent cold ``Fraction`` solves."""
+    arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
+    lam = env.lambda_star
+    assert _cold_value_at(ext, lam, algorithm) == lam * arrival
+    over = lam + Fraction(1, 2**40)
+    assert _cold_value_at(ext, over, algorithm) < over * arrival
+    for seg in env.segments:
+        mid = seg.lo + 1 if seg.hi is None else (seg.lo + seg.hi) / 2
+        assert _cold_value_at(ext, mid, algorithm) == seg.value_at(mid)
+
+
+def region_facts(report):
+    return (report.network_class, report.arrival_rate,
+            report.max_flow_value, report.f_star)
+
+
 class TestClassifyVsFractionOracle:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     @pytest.mark.parametrize("denominators,label", [
@@ -216,6 +243,25 @@ class TestClassifyVsFractionOracle:
             cold = classify_network_cold(ext, algorithm)
             assert report_facts(warm) == report_facts(cold)
 
+            env = breakpoint_envelope(ext, algorithm=algorithm)
+            region = classify_region(ext, algorithm)
+            assert fraction_fallbacks_total() == 0, (
+                f"{label} envelope must stay on the integer path"
+            )
+            assert_envelope_matches_cold(ext, env, algorithm)
+            assert region_facts(region) == region_facts(cold)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("in_rates", [{}, {0: 0}], ids=["none", "zero"])
+    def test_no_injections_matches_oracle(self, algorithm, in_rates):
+        # no positive source arc: the ladder has no parametric arcs to fit
+        ext = build_extended_graph(gen.path(3), in_rates, {2: 1})
+        reset_counters()
+        warm = classify_network(ext, algorithm)
+        assert fraction_fallbacks_total() == 0
+        cold = classify_network_cold(ext, algorithm)
+        assert report_facts(warm) == report_facts(cold)
+
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_magnitude_guard_falls_back_exactly(self, algorithm):
         # a denominator past INT_SCALE_LIMIT defeats common-denominator
@@ -232,3 +278,12 @@ class TestClassifyVsFractionOracle:
         assert fraction_fallbacks_total() == 1
         cold = classify_network_cold(ext, algorithm)
         assert report_facts(warm) == report_facts(cold)
+
+        reset_counters()
+        env = breakpoint_envelope(ext, algorithm=algorithm)
+        assert fraction_fallbacks_total() == 1
+        assert_envelope_matches_cold(ext, env, algorithm)
+        reset_counters()
+        region = classify_region(ext, algorithm)
+        assert fraction_fallbacks_total() == 1
+        assert region_facts(region) == region_facts(cold)

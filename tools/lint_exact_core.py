@@ -33,6 +33,8 @@ EXACT_CORE_GLOBS = [
     "flow/edmonds_karp.py",
     "flow/push_relabel.py",
     "flow/warmstart.py",
+    "flow/parametric.py",
+    "flow/feasibility.py",
     "core/fastpath.py",
     "core/lgg.py",
     "core/lgg_fast.py",
