@@ -40,6 +40,7 @@ __all__ = [
     "RegionReport",
     "classify_network",
     "classify_region",
+    "region_from_envelope",
     "f_star",
     "feasible_flow",
     "certification_epsilon",
@@ -134,7 +135,12 @@ def certification_epsilon(ext) -> Fraction:
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         return Fraction(1)  # no injections: vacuously unsaturated at any ε
-    L = common_denominator(list(ext.capacities) + [arrival])
+    fixed = ext.fixed_capacities
+    if fixed is None:
+        L = common_denominator(list(ext.capacities) + [arrival])
+    else:  # the lcm of the shared fixed scale and the source capacities
+        L = common_denominator([Fraction(1, fixed.denominator), arrival,
+                                *(ext.capacities[j] for j in ext.source_arcs)])
     return Fraction(1, 2 * L * (int(arrival) + 2))
 
 
@@ -262,10 +268,17 @@ def classify_region(ext, algorithm: str = "dinic", *,
     reported ``lambda_star``/``margin`` are exact Fractions.
 
     Pass a precomputed ``envelope`` (along the nominal injection ray) to
-    skip the solve entirely, e.g. from the feasibility cache.
+    skip the solve entirely.
     """
     if envelope is None:
         envelope = breakpoint_envelope(ext, algorithm=algorithm)
+    return region_from_envelope(envelope, ext.n)
+
+
+def region_from_envelope(envelope: BreakpointEnvelope, n: int) -> RegionReport:
+    """The :class:`RegionReport` of a nominal-ray envelope on a ``G*`` of
+    ``n`` nodes — all :func:`classify_region` derives, with no graph at
+    hand (the feasibility cache's path for a banked envelope)."""
     arrival = envelope.arrival_slope
     lambda_star = envelope.lambda_star
     if lambda_star > 1:
@@ -280,14 +293,14 @@ def classify_region(ext, algorithm: str = "dinic", *,
     # scale-up when λ* = 1).  Its capacity at λ = 1 is the max-flow value
     # at the nominal rates, by duality.
     seg = envelope.segment_at(Fraction(1))
-    side = np.zeros(ext.n, dtype=bool)
+    side = np.zeros(n, dtype=bool)
     side[list(seg.cut_side)] = True
     max_flow_value = seg.value_at(Fraction(1))
     cut = MinCut(side=side, arcs=tuple(seg.cut_arcs), capacity=max_flow_value)
     a_size = len(seg.cut_side)
     if a_size == 1:
         cut_kind = CutKind.TRIVIAL_SOURCE
-    elif a_size == ext.n - 1:
+    elif a_size == n - 1:
         cut_kind = CutKind.VIRTUAL_SINK
     else:
         cut_kind = CutKind.INTERIOR

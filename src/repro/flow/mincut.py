@@ -73,11 +73,9 @@ def min_cut(result: FlowResult, *, side: str = "min") -> MinCut:
         mask = result.sink_side_complement()
     else:
         raise FlowError(f"side must be 'min' or 'max', got {side!r}")
-    arcs = tuple(
-        j
-        for j, (u, v) in enumerate(zip(p.tails, p.heads))
-        if mask[u] and not mask[v] and p.capacities[j] > 0
-    )
+    crossing = (mask[np.asarray(p.tails, dtype=np.int64)]
+                & ~mask[np.asarray(p.heads, dtype=np.int64)])
+    arcs = tuple(j for j in np.flatnonzero(crossing).tolist() if p.capacities[j] > 0)
     capacity = sum(p.capacities[j] for j in arcs)
     # exact equality for int/Fraction capacities, tolerant for floats
     if isinstance(capacity, float) or isinstance(result.value, float):

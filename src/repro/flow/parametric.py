@@ -46,7 +46,7 @@ import numpy as np
 from repro.flow.residual import FlowError, FlowProblem
 from repro.flow.warmstart import ParametricMaxFlow
 from repro.graphs.extended import ExtendedGraph
-from repro.numeric import INT_SCALE_LIMIT, note_fraction_fallback, scale_int, try_scale
+from repro.numeric import INT_SCALE_LIMIT, note_fraction_fallback, scale_int
 from repro.obs.metrics import get_registry
 from repro.obs.spans import span
 
@@ -183,31 +183,39 @@ class _Ladder:
                  algorithm: str, first: Fraction = Fraction(0)) -> None:
         self._ext = ext
         self.fell_back = False
+        # Source arcs outside the direction support stay pinned to their
+        # fixed capacity 0, and that 0 is what any cut pays.
         self._param_arcs: dict[int, Fraction] = {}
-        caps = list(ext.capacities)
-        for j in np.flatnonzero(ext.tails == ext.s_star).tolist():
+        for j in ext.source_arcs:
             d = direction.get(int(ext.refs[j]))
-            if d is None:
-                # Injection nodes outside the direction support keep their
-                # source arcs pinned to 0, and that 0 is what any cut pays.
-                caps[j] = 0
-            else:
-                self._param_arcs[j] = d = Fraction(d)
-                caps[j] = first * d
-        scaled = try_scale(caps)
-        if scaled is None:
-            caps, scale = [Fraction(c) for c in caps], None
+            if d is not None:
+                self._param_arcs[j] = Fraction(d)
+        first_caps = {j: first * d for j, d in self._param_arcs.items()}
+
+        # The fixed capacities are the extended graph's, aliased on its
+        # own scale; only the parametric arcs decide this ladder's scale.
+        fixed = ext.fixed_capacities
+        scale = None
+        if fixed is not None:
+            self._fixed_caps, self._fixed_den = fixed.ints, fixed.denominator
+            self._fixed_top = max(fixed.ints, default=0)
+            scale = self._fit_scale(fixed.denominator, first_caps.values())
+        if scale is None:
             self._fall_back()
+            self._fixed_caps = [Fraction(c) for c in ext.capacities]
+            for j in ext.source_arcs:
+                self._fixed_caps[j] = Fraction(0)
+            self._fixed_den = k = 1
         else:
-            caps, scale = scaled
-        tails, heads = ext.arc_lists
-        problem = FlowProblem._trusted(n=ext.n, tails=tails, heads=heads, capacities=caps,
-                                       source=ext.s_star, sink=ext.d_star)
-        # fixed capacities in the base engine's units (scale _fixed_den);
-        # _fixed_top bounds them at any finer scale
-        self._fixed_caps = caps
-        self._fixed_den = scale or 1
-        self._fixed_top = max(caps, default=0)
+            k = scale // self._fixed_den
+            first_caps = {j: scale_int(c, scale) for j, c in first_caps.items()}
+        caps = [c * k for c in self._fixed_caps] if k > 1 else list(self._fixed_caps)
+        for j, c in first_caps.items():
+            caps[j] = c
+        problem = FlowProblem._trusted(
+            n=ext.n, tails=ext.arc_lists[0], heads=ext.arc_lists[1],
+            capacities=caps, source=ext.s_star, sink=ext.d_star,
+            topology=ext.flow_topology)
         self._lams = [Fraction(first)]
         self._rungs = [(ParametricMaxFlow(problem, algorithm), scale)]
         self.probes = 0
@@ -226,16 +234,22 @@ class _Ladder:
             self.fell_back = True
             note_fraction_fallback()
 
+    def _fit_scale(self, scale: int, caps) -> Optional[int]:
+        """The finest scale ``scale`` needs to make ``caps`` integers, or
+        ``None`` when it or a capacity on it would pass the guard."""
+        new = lcm(scale, *(c.denominator for c in caps))
+        top = max([self._fixed_top * (new // self._fixed_den),
+                   *(c.numerator * (new // c.denominator) for c in caps)])
+        return new if new <= INT_SCALE_LIMIT and top <= INT_SCALE_LIMIT else None
+
     def _fit(self, engine: ParametricMaxFlow, scale: Optional[int],
              caps) -> Optional[int]:
         """Rescale a fork so ``caps`` are integers; return its new scale."""
         if scale is None:
             return None
         if not self.fell_back:
-            new = lcm(scale, *(c.denominator for c in caps))
-            top = max([self._fixed_top * (new // self._fixed_den),
-                       *(c.numerator * (new // c.denominator) for c in caps)])
-            if new <= INT_SCALE_LIMIT and top <= INT_SCALE_LIMIT:
+            new = self._fit_scale(scale, caps)
+            if new is not None:
                 if new != scale:
                     engine.rescale(new // scale)
                 return new
@@ -276,23 +290,21 @@ class _Ladder:
         :func:`~repro.flow.mincut.min_cut`'s arc list, which drops
         zero-capacity arcs and so would lose every parametric arc at λ = 0.
         """
-        inside = engine.result.source_side().tolist()
-        tails, heads = self._ext.arc_lists
+        inside = engine.result.source_side()
+        ext = self._ext
         slope = Fraction(0)
         intercept = 0
         crossing: list[int] = []
-        for j in range(len(tails)):
-            if inside[tails[j]] and not inside[heads[j]]:
-                d = self._param_arcs.get(j)
-                if d is not None:
-                    slope += d
-                    crossing.append(j)
-                elif self._fixed_caps[j] > 0:
-                    intercept += self._fixed_caps[j]
-                    crossing.append(j)
-        side = tuple(v for v, on in enumerate(inside) if on)
+        for j in np.flatnonzero(inside[ext.tails] & ~inside[ext.heads]).tolist():
+            d = self._param_arcs.get(j)
+            if d is not None:
+                slope += d
+                crossing.append(j)
+            elif self._fixed_caps[j] > 0:
+                intercept += self._fixed_caps[j]
+                crossing.append(j)
         return _Line(slope, Fraction(intercept, self._fixed_den),
-                     tuple(crossing), side)
+                     tuple(crossing), tuple(np.flatnonzero(inside).tolist()))
 
 
 def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,

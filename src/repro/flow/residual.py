@@ -41,6 +41,10 @@ class FlowProblem:
     capacities: Sequence[Number]
     source: int
     sink: int
+    #: prebuilt residual adjacency of ``tails``/``heads`` (set only through
+    #: :meth:`_trusted`); ``None`` makes :class:`Residual` build its own
+    topology: FlowTopology | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -62,12 +66,14 @@ class FlowProblem:
         return len(self.tails)
 
     @classmethod
-    def _trusted(cls, *, n, tails, heads, capacities, source, sink) -> "FlowProblem":
+    def _trusted(cls, *, n, tails, heads, capacities, source, sink,
+                 topology=None) -> "FlowProblem":
         """Construct without re-running ``__post_init__`` validation.
 
         Internal fast path for the parametric warm-start engine, which
         rebuilds the problem every step with capacities it has already
         checked (same topology, monotone increases of validated values).
+        ``topology`` must be the :class:`FlowTopology` of ``tails``/``heads``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
@@ -76,6 +82,7 @@ class FlowProblem:
         object.__setattr__(self, "capacities", capacities)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "sink", sink)
+        object.__setattr__(self, "topology", topology)
         return self
 
     @classmethod
@@ -112,44 +119,33 @@ class FlowTopology:
     in the same order the old per-node list-of-lists adjacency held them
     (ascending original-arc id), so solvers that walk the arcs in order make
     bit-identical decisions.  ``to[a]`` is the head of residual arc ``a``.
-    Built once per :class:`FlowProblem` topology and shared by every fork —
-    the parametric warm-start engine swaps ``problem`` (new capacities, same
-    tails/heads) without touching it.
+    Built once per topology and shared by every fork — the parametric
+    warm-start engine swaps ``problem`` (new capacities, same tails/heads)
+    without touching it — and, through
+    :attr:`repro.graphs.extended.ExtendedGraph.flow_topology`, by every
+    engine on one extended graph.
     """
 
     __slots__ = ("n", "to", "indptr", "arcs")
 
-    def __init__(self, problem: FlowProblem) -> None:
-        n = problem.n
-        m = problem.num_arcs
-        tails, heads = problem.tails, problem.heads
-        to: list[int] = [0] * (2 * m)
-        counts = [0] * (n + 1)
-        for j in range(m):
-            u, v = tails[j], heads[j]
-            to[2 * j] = v
-            to[2 * j + 1] = u
-            counts[u + 1] += 1
-            counts[v + 1] += 1
-        indptr = counts
-        for i in range(1, n + 1):
-            indptr[i] += indptr[i - 1]
-        arcs: list[int] = [0] * (2 * m)
-        cursor = indptr[:n]
-        # Arc order within each node region matches the old append order:
-        # iterate original arcs in id order, forward slot before backward.
-        for j in range(m):
-            u, v = tails[j], heads[j]
-            cu = cursor[u]
-            arcs[cu] = 2 * j
-            cursor[u] = cu + 1
-            cv = cursor[v]
-            arcs[cv] = 2 * j + 1
-            cursor[v] = cv + 1
+    def __init__(self, n: int, tails, heads) -> None:
+        # Residual arc 2j leaves tails[j] and 2j + 1 leaves heads[j]; a
+        # stable sort by owner keeps each node's arcs in ascending order,
+        # forward slot before backward — the old append order.
+        tails = np.asarray(tails, dtype=np.int64)
+        heads = np.asarray(heads, dtype=np.int64)
+        owners = np.empty(2 * len(tails), dtype=np.int64)
+        owners[0::2] = tails
+        owners[1::2] = heads
+        to = np.empty_like(owners)
+        to[0::2] = heads
+        to[1::2] = tails
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
         self.n = n
-        self.to = to
-        self.indptr = indptr
-        self.arcs = arcs
+        self.to = to.tolist()
+        self.indptr = indptr.tolist()
+        self.arcs = np.argsort(owners, kind="stable").tolist()
 
     def arcs_of(self, u: int) -> list[int]:
         """Outgoing residual arcs of ``u`` (a fresh slice; cheap, compat)."""
@@ -170,14 +166,11 @@ class Residual:
 
     def __init__(self, problem: FlowProblem) -> None:
         self.problem = problem
-        m = problem.num_arcs
-        topo = FlowTopology(problem)
+        topo = problem.topology or FlowTopology(problem.n, problem.tails, problem.heads)
         self.topology = topo
         self.to = topo.to
-        residual: list[Number] = [0] * (2 * m)
-        caps = problem.capacities
-        for j in range(m):
-            residual[2 * j] = caps[j]
+        residual: list[Number] = [0] * (2 * problem.num_arcs)
+        residual[0::2] = problem.capacities
         self.residual = residual
         self._adj: list[list[int]] | None = None
 
@@ -218,7 +211,7 @@ class Residual:
 
     def flows(self) -> list[Number]:
         """Per-original-arc flow values (the backward residual)."""
-        return [self.residual[2 * j + 1] for j in range(self.problem.num_arcs)]
+        return self.residual[1::2]
 
     def reachable_from(self, start: int) -> np.ndarray:
         """Boolean mask of nodes reachable from ``start`` via positive residual."""

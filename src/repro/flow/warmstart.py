@@ -331,7 +331,7 @@ class ParametricMaxFlow:
         res.problem = FlowProblem._trusted(
             n=p.n, tails=p.tails, heads=p.heads,
             capacities=[c * factor for c in p.capacities],
-            source=p.source, sink=p.sink,
+            source=p.source, sink=p.sink, topology=p.topology,
         )
         self._value = self._value * factor
         self._result = None
@@ -380,7 +380,7 @@ class ParametricMaxFlow:
         # validated monotone above, so skip __post_init__'s O(m) re-check
         problem = FlowProblem._trusted(
             n=p.n, tails=p.tails, heads=p.heads,
-            capacities=caps, source=p.source, sink=p.sink,
+            capacities=caps, source=p.source, sink=p.sink, topology=p.topology,
         )
         self._res.problem = problem
 

@@ -5,9 +5,12 @@
 once per topology epoch (cached on the graph, invalidated by mutation) and
 *aliased* — never copied — by every consumer that used to re-derive its own
 arrays: the engine's half-edge view (:class:`repro.core.lgg_fast.HalfEdges`),
-the adjacency view (:class:`repro.graphs.multigraph.Adjacency`), the
-extended-graph arc table, the sweep cache's canonical hashes, and the
-integer LGG kernel's neighbour lists.
+the adjacency view (:class:`repro.graphs.multigraph.Adjacency`), the sweep
+cache's canonical hashes, and the integer LGG kernel's neighbour lists.
+The extended graph ``G*`` interleaves its arc table from the snapshot's
+edge arrays and is memoized on the snapshot
+(:func:`repro.graphs.extended.extended_graph_of`), so a mutation retires
+both together.
 
 Layout
 ------
@@ -16,23 +19,32 @@ Half-edge CSR: node ``u``'s incident half-edges occupy slots
 (``senders`` is constant-``u`` over the block — materialised because the
 vectorized selector indexes it wholesale).  Edge list: ``eids[k]`` is the
 id of the ``k``-th live edge with endpoints ``us[k] <= vs[k]`` normalised
-for hashing (the multigraph is undirected, so orientation is cosmetic).
+for hashing (the multigraph is undirected, so orientation is cosmetic);
+``tails[k]`` / ``heads[k]`` keep the endpoints in the order they were
+added, which fixes the orientation of ``G*``'s forward arcs.
 
 The canonical digest hashes only the flat arrays — node count plus the
 sorted live-edge multiset — so it is invariant to edge-insertion order,
 tombstoned ids, and node-preserving copies, exactly the contract the
-feasibility cache keys rely on.
+feasibility cache keys rely on.  The sorted edge list is JSON-encoded
+once per snapshot and streamed into every digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = ["CSRTopology"]
+
+
+def _dumps(value) -> bytes:
+    """The canonical JSON encoding every cache key has always used."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -48,6 +60,10 @@ class CSRTopology:
     eids: np.ndarray             # (m,) int64 live edge ids, ascending
     us: np.ndarray               # (m,) int64 min endpoint per live edge
     vs: np.ndarray               # (m,) int64 max endpoint per live edge
+    tails: np.ndarray            # (m,) int64 first endpoint, as added
+    heads: np.ndarray            # (m,) int64 second endpoint, as added
+    #: ``G*`` memo of :func:`repro.graphs.extended.extended_graph_of`
+    extended_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -61,33 +77,29 @@ class CSRTopology:
     # ------------------------------------------------------------------
     @classmethod
     def from_multigraph(cls, graph) -> "CSRTopology":
-        """Build the flat arrays in one pass over the live edges."""
+        """Build the flat arrays from the graph's live-edge arrays.
+
+        Half-edge ``2k`` belongs to ``tails[k]`` and ``2k + 1`` to
+        ``heads[k]``; a stable sort by owner lays each node's block out
+        in edge-id order.
+        """
         n = graph.n
-        live = [(e, u, v) for e, u, v in graph.edges()]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        for _, u, v in live:
-            counts[u + 1] += 1
-            counts[v + 1] += 1
-        indptr = np.cumsum(counts)
-        size = int(indptr[-1])
-        neighbors = np.zeros(size, dtype=np.int64)
-        edge_ids = np.zeros(size, dtype=np.int64)
-        senders = np.zeros(size, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for e, u, v in live:
-            cu, cv = cursor[u], cursor[v]
-            neighbors[cu] = v
-            edge_ids[cu] = e
-            senders[cu] = u
-            cursor[u] = cu + 1
-            neighbors[cv] = u
-            edge_ids[cv] = e
-            senders[cv] = v
-            cursor[v] = cv + 1
-        eids = np.array([e for e, _, _ in live], dtype=np.int64)
-        us = np.array([u if u <= v else v for _, u, v in live], dtype=np.int64)
-        vs = np.array([v if u <= v else u for _, u, v in live], dtype=np.int64)
-        for arr in (indptr, neighbors, edge_ids, senders, eids, us, vs):
+        eids, tails, heads = graph.edge_array()
+        owners = np.empty(2 * len(eids), dtype=np.int64)
+        owners[0::2] = tails
+        owners[1::2] = heads
+        opposite = np.empty_like(owners)
+        opposite[0::2] = heads
+        opposite[1::2] = tails
+        order = np.argsort(owners, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+        neighbors = opposite[order]
+        edge_ids = np.repeat(eids, 2)[order]
+        senders = owners[order]
+        us = np.minimum(tails, heads)
+        vs = np.maximum(tails, heads)
+        for arr in (indptr, neighbors, edge_ids, senders, eids, us, vs, tails, heads):
             arr.setflags(write=False)  # aliased everywhere: freeze
         return cls(
             n=n,
@@ -99,6 +111,8 @@ class CSRTopology:
             eids=eids,
             us=us,
             vs=vs,
+            tails=tails,
+            heads=heads,
         )
 
     # ------------------------------------------------------------------
@@ -109,15 +123,30 @@ class CSRTopology:
         """The live-edge multiset as a sorted list of ``(min, max)`` pairs."""
         return sorted(zip(self.us.tolist(), self.vs.tolist()))
 
+    @cached_property
+    def _edges_json(self) -> bytes:
+        """:meth:`canonical_edges` in the digest's JSON encoding (once)."""
+        return _dumps(self.canonical_edges())
+
     def canonical_digest(self, extra: dict | None = None) -> str:
         """sha256 over the flat structure (plus optional ``extra`` payload).
 
         Two graphs collide iff they share node count and live-edge multiset
-        — the invariance contract of the feasibility cache keys.
+        — the invariance contract of the feasibility cache keys.  The bytes
+        hashed are ``json.dumps({"n": n, "edges": canonical_edges(),
+        **extra}, sort_keys=True, separators=(",", ":"))``, streamed key
+        by key so the cached edge encoding is reused.
         """
-        payload: dict = {"n": self.n, "edges": self.canonical_edges()}
+        payload: dict = {"n": self.n}
         if extra:
             payload.update(extra)
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        ).hexdigest()
+        if "edges" in payload:  # extra replaces the edge list itself
+            return hashlib.sha256(_dumps(payload)).hexdigest()
+        digest = hashlib.sha256()
+        sep = b"{"
+        for key in sorted([*payload, "edges"]):
+            digest.update(sep + _dumps(key) + b":")
+            digest.update(self._edges_json if key == "edges" else _dumps(payload[key]))
+            sep = b","
+        digest.update(b"}")
+        return digest.hexdigest()

@@ -16,22 +16,38 @@ and both arcs are present.
 
 This module only *describes* the construction (node numbering + arc table);
 solving flows on it is the job of :mod:`repro.flow`.
+
+One ``G*`` is the flow substrate of every verdict on its network, so it
+also carries what every solve over it shares: the residual
+:class:`~repro.flow.residual.FlowTopology` and the non-source capacities
+scaled to one integer denominator.  Both are built on first use and then
+aliased by every parametric ladder (``classify_network``, the envelope,
+``classify_region``, the margin) — never mutated.
+:func:`extended_graph_of` memoizes the graph itself per topology epoch:
+it lives on the multigraph's cached
+:class:`~repro.graphs.csr.CSRTopology`, so a mutation retires it with
+the snapshot.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.multigraph import MultiGraph
+from repro.numeric import ScaledValues, try_scale
 
-__all__ = ["ArcKind", "ExtendedGraph", "build_extended_graph"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.flow.residual import FlowTopology
+
+__all__ = ["ArcKind", "ExtendedGraph", "build_extended_graph", "extended_graph_of"]
 
 Number = Union[int, float, Fraction]
 
@@ -52,7 +68,9 @@ class ExtendedGraph:
     Nodes ``0 .. n-1`` are the nodes of the base graph; ``s_star == n`` and
     ``d_star == n + 1``.  Arcs are parallel arrays; ``ref[i]`` is the base
     edge id for ``EDGE_*`` arcs and the base node id for ``SOURCE`` /
-    ``SINK`` arcs.
+    ``SINK`` arcs.  One instance is shared by every solve on its network
+    (see :func:`extended_graph_of`): treat all of it, rate maps included,
+    as read-only.
     """
 
     n_base: int
@@ -85,7 +103,33 @@ class ExtendedGraph:
         shares one conversion instead of re-walking the numpy arrays.  The
         lists are aliased, never copied; callers must not mutate them.
         """
-        return [int(t) for t in self.tails], [int(h) for h in self.heads]
+        return self.tails.tolist(), self.heads.tolist()
+
+    @cached_property
+    def source_arcs(self) -> list[int]:
+        """Indices of the ``(s*, v)`` arcs, ascending."""
+        return np.flatnonzero(self.tails == self.s_star).tolist()
+
+    @cached_property
+    def fixed_capacities(self) -> Optional[ScaledValues]:
+        """Every capacity but the source arcs' (zeroed), on one integer scale.
+
+        The non-parametric part of every ladder's capacity vector: ladders
+        alias the integers and scale only their own source arcs.  ``None``
+        when the common denominator or a scaled capacity would pass
+        ``INT_SCALE_LIMIT`` — then every ladder runs on ``Fraction``.
+        """
+        caps = list(self.capacities)
+        for j in self.source_arcs:
+            caps[j] = 0
+        return try_scale(caps)
+
+    @cached_property
+    def flow_topology(self) -> "FlowTopology":
+        """The residual adjacency of ``G*``, shared by every solve on it."""
+        from repro.flow.residual import FlowTopology  # local import avoids a cycle
+
+        return FlowTopology(self.n, self.tails, self.heads)
 
     def arcs_of_kind(self, kind: ArcKind) -> np.ndarray:
         """Indices of arcs with the given provenance."""
@@ -144,47 +188,74 @@ def build_extended_graph(
     in_clean = {v: r for v, r in sorted(in_rates.items()) if r > 0}
     out_clean = {v: r for v, r in sorted(out_rates.items()) if r > 0}
 
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[Number] = []
-    kinds: list[ArcKind] = []
-    refs: list[int] = []
-
-    for eid, u, v in graph.edges():
-        tails.append(u)
-        heads.append(v)
-        caps.append(edge_capacity)
-        kinds.append(ArcKind.EDGE_FWD)
-        refs.append(eid)
-        tails.append(v)
-        heads.append(u)
-        caps.append(edge_capacity)
-        kinds.append(ArcKind.EDGE_BWD)
-        refs.append(eid)
-
+    # Live edge k becomes arcs 2k (tail -> head, as added) and 2k + 1 (the
+    # reverse), in edge-id order; then the source arcs, then the sink arcs.
+    csr = graph.to_csr()
+    m = csr.m
     s_star, d_star = n, n + 1
-    for v, r in in_clean.items():
-        tails.append(s_star)
-        heads.append(v)
-        caps.append(r * source_scale)
-        kinds.append(ArcKind.SOURCE)
-        refs.append(v)
-    for v, r in out_clean.items():
-        tails.append(v)
-        heads.append(d_star)
-        caps.append(r)
-        kinds.append(ArcKind.SINK)
-        refs.append(v)
+    k_in, k_out = len(in_clean), len(out_clean)
+    size = 2 * m + k_in + k_out
+    tails = np.empty(size, dtype=np.int64)
+    heads = np.empty(size, dtype=np.int64)
+    refs = np.empty(size, dtype=np.int64)
+    tails[0:2 * m:2] = heads[1:2 * m:2] = csr.tails
+    heads[0:2 * m:2] = tails[1:2 * m:2] = csr.heads
+    refs[0:2 * m:2] = refs[1:2 * m:2] = csr.eids
+    tails[2 * m:2 * m + k_in] = s_star
+    heads[2 * m:2 * m + k_in] = refs[2 * m:2 * m + k_in] = list(in_clean)
+    tails[2 * m + k_in:] = refs[2 * m + k_in:] = list(out_clean)
+    heads[2 * m + k_in:] = d_star
+    for arr in (tails, heads, refs):
+        arr.setflags(write=False)  # shared by every solve: freeze
 
     return ExtendedGraph(
         n_base=n,
         s_star=s_star,
         d_star=d_star,
-        tails=np.array(tails, dtype=np.int64),
-        heads=np.array(heads, dtype=np.int64),
-        capacities=tuple(caps),
-        kinds=tuple(kinds),
-        refs=np.array(refs, dtype=np.int64),
-        in_rates=dict(in_clean),
-        out_rates=dict(out_clean),
+        tails=tails,
+        heads=heads,
+        capacities=((edge_capacity,) * (2 * m)
+                    + tuple(r * source_scale for r in in_clean.values())
+                    + tuple(out_clean.values())),
+        kinds=((ArcKind.EDGE_FWD, ArcKind.EDGE_BWD) * m
+               + (ArcKind.SOURCE,) * k_in + (ArcKind.SINK,) * k_out),
+        refs=refs,
+        in_rates=in_clean,
+        out_rates=out_clean,
     )
+
+
+#: ``G*`` instances kept per topology snapshot (one per rate-map pair).
+_MEMO_PER_SNAPSHOT = 4
+_memo_lock = threading.Lock()
+
+
+def extended_graph_of(
+    graph: MultiGraph,
+    in_rates: Mapping[int, Number],
+    out_rates: Mapping[int, Number],
+    *,
+    source_scale: Number = 1,
+) -> ExtendedGraph:
+    """:func:`build_extended_graph`, memoized on the graph's CSR snapshot.
+
+    Every caller asking for the same rate maps on the same topology epoch
+    gets the same :class:`ExtendedGraph` — and with it the same residual
+    topology and scaled capacities.  A graph mutation replaces the
+    snapshot and so drops its memo; each snapshot keeps at most
+    ``_MEMO_PER_SNAPSHOT`` graphs, evicting the oldest first.
+    """
+    memo = graph.to_csr().extended_memo
+    # types are part of the key: 2 and Fraction(2) hash alike but make
+    # differently-typed capacities
+    key = tuple(tuple((v, type(r), r) for v, r in sorted(rates.items()))
+                for rates in (in_rates, out_rates, {0: source_scale}))
+    with _memo_lock:
+        ext = memo.get(key)
+    if ext is None:
+        ext = build_extended_graph(graph, in_rates, out_rates, source_scale=source_scale)
+        with _memo_lock:
+            ext = memo.setdefault(key, ext)
+            while len(memo) > _MEMO_PER_SNAPSHOT:
+                memo.pop(next(iter(memo)))
+    return ext

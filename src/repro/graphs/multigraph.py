@@ -191,9 +191,10 @@ class MultiGraph:
 
     def edge_array(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Live edges as ``(eids, us, vs)`` int64 arrays (id order)."""
-        eids = np.array([e for e, a in enumerate(self._alive) if a], dtype=np.int64)
-        us = np.array([self._eu[e] for e in eids], dtype=np.int64)
-        vs = np.array([self._ev[e] for e in eids], dtype=np.int64)
+        alive = np.array(self._alive, dtype=bool)
+        eids = np.flatnonzero(alive).astype(np.int64)
+        us = np.array(self._eu, dtype=np.int64)[alive]
+        vs = np.array(self._ev, dtype=np.int64)[alive]
         return eids, us, vs
 
     def degree(self, v: int) -> int:

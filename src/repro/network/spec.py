@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.errors import SpecError
-from repro.graphs.extended import ExtendedGraph, build_extended_graph
+from repro.graphs.extended import ExtendedGraph, extended_graph_of
 from repro.graphs.multigraph import MultiGraph
 
 __all__ = ["NodeRole", "RevelationPolicy", "NetworkSpec"]
@@ -203,8 +203,12 @@ class NetworkSpec:
         return out
 
     def extended(self, *, source_scale=1) -> ExtendedGraph:
-        """The extended graph ``G*`` of this network (Fig. 2 / Fig. 4)."""
-        return build_extended_graph(
+        """The extended graph ``G*`` of this network (Fig. 2 / Fig. 4).
+
+        Memoized per topology epoch and rate maps: equal specs on one
+        graph share one ``G*`` and every flow substrate cached on it.
+        """
+        return extended_graph_of(
             self.graph, self.in_rates, self.out_rates, source_scale=source_scale
         )
 

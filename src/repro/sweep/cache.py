@@ -202,14 +202,18 @@ class FeasibilityCache:
         region queries (serve ``/v1/region``, sweeps, the CLI) pay the
         one-cold-solve parametric computation once per (network, ray).
         """
+        return self._envelope(spec, direction, algorithm,
+                              canonical_ray_key(spec, direction))
+
+    def _envelope(self, spec: NetworkSpec, direction, algorithm: str,
+                  ray_key: str) -> "BreakpointEnvelope":
         def compute():
             from repro.flow.parametric import breakpoint_envelope
 
             return breakpoint_envelope(spec.extended(), direction,
                                        algorithm=algorithm)
 
-        key = ("ray", canonical_ray_key(spec, direction), algorithm)
-        return self._memoized(key, compute)
+        return self._memoized(("ray", ray_key, algorithm), compute)
 
     def region(self, spec: NetworkSpec, algorithm: str = "dinic") -> "RegionReport":
         """``classify_region`` along the nominal injection ray, memoized.
@@ -217,14 +221,15 @@ class FeasibilityCache:
         Derived from (and sharing) the banked envelope, so a region
         lookup after an envelope lookup — or vice versa — never re-solves.
         """
+        ray_key = canonical_ray_key(spec, None)
+
         def compute():
-            from repro.flow.feasibility import classify_region
+            from repro.flow.feasibility import region_from_envelope
 
-            env = self.envelope(spec, None, algorithm)
-            return classify_region(spec.extended(), algorithm, envelope=env)
+            env = self._envelope(spec, None, algorithm, ray_key)
+            return region_from_envelope(env, spec.n + 2)  # G* adds s*, d*
 
-        key = ("region", canonical_ray_key(spec, None), algorithm)
-        return self._memoized(key, compute)
+        return self._memoized(("region", ray_key, algorithm), compute)
 
     # ------------------------------------------------------------------
     @property

@@ -6,6 +6,10 @@ tombstone churn — and a cache hit must return a report identical to a
 cold :func:`classify_network` call.
 """
 
+import hashlib
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from repro.sweep import (
     cached_classify,
     shared_cache,
 )
+from repro.sweep.cache import canonical_ray_key, shard_index
 
 
 @st.composite
@@ -80,6 +85,61 @@ class TestGraphKey:
 def _line_spec(in_rate=1, out_rate=1, **spec_kwargs):
     g = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
     return NetworkSpec.classical(g, {0: in_rate}, {3: out_rate})
+
+
+def _historical_digest(payload: dict) -> str:
+    """The cache-key encoding every stored key and shard route rests on."""
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ).hexdigest()
+
+
+class TestGoldenKeys:
+    """Keys stay byte-identical to the historical one-shot JSON payload:
+    a re-keyed cache would silently miss every stored entry and move
+    every key to another serve worker shard."""
+
+    @staticmethod
+    def _spec():
+        g = MultiGraph(5)
+        for u, v in [(3, 1), (0, 1), (2, 4), (1, 2), (0, 4), (3, 4)]:
+            g.add_edge(u, v)
+        g.remove_edge(4)
+        g.add_edge(1, 2)  # a parallel edge
+        return NetworkSpec.classical(g, {3: 2, 0: 1}, {4: 3})
+
+    def test_spec_key(self):
+        spec = self._spec()
+        edges = sorted((min(u, v), max(u, v)) for _, u, v in spec.graph.edges())
+        want = _historical_digest({"n": 5, "edges": edges, "in": [(0, 1), (3, 2)],
+                                   "out": [(4, 3)]})
+        assert canonical_spec_key(spec) == want
+        assert want == ("9fff48c05525122e54960136cf2139d9"
+                        "f3dcfed509785e03abe40dda3bb04707")
+        assert shard_index(want, 7) == 2
+
+    def test_ray_keys(self):
+        spec = self._spec()
+        edges = sorted((min(u, v), max(u, v)) for _, u, v in spec.graph.edges())
+        base = {"n": 5, "edges": edges, "in": [(0, 1), (3, 2)], "out": [(4, 3)]}
+        nominal = _historical_digest({**base, "ray": [[0, "1"], [3, "2"]]})
+        assert canonical_ray_key(spec) == nominal
+        assert nominal == ("c4451dfd3c25e08e9e132978bbd5732a"
+                           "a273b32947847a667f79c12c260a2e6d")
+        ray = {0: Fraction(3, 2), 3: Fraction(0)}
+        tilted = _historical_digest({**base, "ray": [[0, "3/2"]]})
+        assert canonical_ray_key(spec, ray) == tilted
+        assert tilted == ("4260cc64b4294b3fa6a0f7707dc9e72f"
+                          "c0b1d5e6251557fb4e11d26ba7e21161")
+
+    def test_graph_key_and_repeat_digests(self):
+        spec = self._spec()
+        csr = spec.graph.to_csr()
+        want = ("38c42d0dbbf5d0736682228516936d9b"
+                "ae3d963e70c650e4e9155ae9c6dfe57f")
+        # the cached edge bytes serve every digest of the snapshot alike
+        assert canonical_graph_key(spec.graph) == csr.canonical_digest() == want
+        assert canonical_spec_key(spec) == canonical_spec_key(self._spec())
 
 
 class TestSpecKey:

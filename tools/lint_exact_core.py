@@ -35,6 +35,7 @@ EXACT_CORE_GLOBS = [
     "flow/warmstart.py",
     "flow/parametric.py",
     "flow/feasibility.py",
+    "graphs/extended.py",
     "core/fastpath.py",
     "core/lgg.py",
     "core/lgg_fast.py",
