@@ -116,22 +116,23 @@ class FlowTopology:
     """Immutable flat CSR over the paired residual arcs of a problem.
 
     Node ``u``'s outgoing residual arcs occupy ``arcs[indptr[u]:indptr[u+1]]``
-    in the same order the old per-node list-of-lists adjacency held them
-    (ascending original-arc id), so solvers that walk the arcs in order make
-    bit-identical decisions.  ``to[a]`` is the head of residual arc ``a``.
-    Built once per topology and shared by every fork — the parametric
-    warm-start engine swaps ``problem`` (new capacities, same tails/heads)
-    without touching it — and, through
+    in ascending original-arc id order, forward slot before backward, so
+    solvers that walk the arcs in order make bit-identical decisions.
+    ``to[a]`` is the head of residual arc ``a``.  :meth:`adjacency` holds
+    the same arcs as per-node lists beside their heads, for loops that
+    visit a whole neighbourhood.  Built once per topology and shared by
+    every fork — the parametric warm-start engine swaps ``problem`` (new
+    capacities, same tails/heads) without touching it — and, through
     :attr:`repro.graphs.extended.ExtendedGraph.flow_topology`, by every
     engine on one extended graph.
     """
 
-    __slots__ = ("n", "to", "indptr", "arcs")
+    __slots__ = ("n", "to", "indptr", "arcs", "_adjacency")
 
     def __init__(self, n: int, tails, heads) -> None:
         # Residual arc 2j leaves tails[j] and 2j + 1 leaves heads[j]; a
         # stable sort by owner keeps each node's arcs in ascending order,
-        # forward slot before backward — the old append order.
+        # forward slot before backward.
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         owners = np.empty(2 * len(tails), dtype=np.int64)
@@ -146,23 +147,42 @@ class FlowTopology:
         self.to = to.tolist()
         self.indptr = indptr.tolist()
         self.arcs = np.argsort(owners, kind="stable").tolist()
+        self._adjacency: tuple[list[list[int]], list[list[int]]] | None = None
+
+    def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``(out_arcs, out_heads)``: per node, its residual arcs in CSR
+        order and their heads (``out_heads[u][k] == to[out_arcs[u][k]]``).
+
+        Built on the first call and cached, so every solve on the topology
+        shares one copy.  Read-only, like the rest of the topology.
+        """
+        if self._adjacency is None:
+            indptr, arcs, to = self.indptr, self.arcs, self.to
+            out_arcs = [arcs[indptr[u] : indptr[u + 1]] for u in range(self.n)]
+            self._adjacency = (out_arcs, [[to[a] for a in al] for al in out_arcs])
+        return self._adjacency
 
     def arcs_of(self, u: int) -> list[int]:
-        """Outgoing residual arcs of ``u`` (a fresh slice; cheap, compat)."""
-        return self.arcs[self.indptr[u] : self.indptr[u + 1]]
+        """Outgoing residual arcs of ``u``: the cached list, read-only."""
+        return self.adjacency()[0][u]
 
 
 class Residual:
     """Mutable residual network for a :class:`FlowProblem`.
 
     Residual arc ``2j`` is the forward copy of original arc ``j``; ``2j ^ 1``
-    is always its partner.  Adjacency lives in a shared flat
-    :class:`FlowTopology`; solvers index ``topology.arcs`` through
-    ``topology.indptr`` directly, keeping their per-node cursors as absolute
-    positions in one flat list instead of chasing per-node sublists.
+    is always its partner.  Adjacency lives in a shared
+    :class:`FlowTopology`.
+
+    ``source_mask`` is the min-cut source side handed over by the Dinic
+    kernel, whose last, failed BFS labels exactly the nodes residually
+    reachable from the source; ``None`` when no such BFS describes the
+    current residual.  Anything that moves flow drops it (:meth:`push`,
+    the warm engine's capacity raise); positive scaling and :meth:`fork`
+    keep residual signs and so keep it.  The mask is read-only.
     """
 
-    __slots__ = ("problem", "to", "residual", "topology", "_adj")
+    __slots__ = ("problem", "to", "residual", "topology", "source_mask")
 
     def __init__(self, problem: FlowProblem) -> None:
         self.problem = problem
@@ -172,32 +192,21 @@ class Residual:
         residual: list[Number] = [0] * (2 * problem.num_arcs)
         residual[0::2] = problem.capacities
         self.residual = residual
-        self._adj: list[list[int]] | None = None
-
-    @property
-    def adj(self) -> list[list[int]]:
-        """Per-node residual arc lists — lazy compatibility view.
-
-        Solver hot loops read :attr:`topology` directly; this materialises
-        the old list-of-lists shape for anything that still wants it.
-        """
-        if self._adj is None:
-            t = self.topology
-            indptr, arcs = t.indptr, t.arcs
-            self._adj = [arcs[indptr[u] : indptr[u + 1]] for u in range(t.n)]
-        return self._adj
+        self.source_mask: np.ndarray | None = None
 
     def push(self, arc: int, amount: Number) -> None:
         """Move ``amount`` units of residual capacity along ``arc``."""
         self.residual[arc] -= amount
         self.residual[arc ^ 1] += amount
+        self.source_mask = None
 
     def fork(self) -> "Residual":
         """An independent copy sharing the immutable topology arrays.
 
         ``topology`` (and its ``to``/``indptr``/``arcs``) is never mutated
-        after construction, so forks alias it; only the ``residual`` array
-        (the flow state) is copied.  This makes checkpoint/rollback in the
+        after construction, so forks alias it, and the read-only
+        ``source_mask`` with it; only the ``residual`` array (the flow
+        state) is copied.  This makes checkpoint/rollback in the
         parametric warm-start engine an O(m) list copy instead of a full
         rebuild.
         """
@@ -205,7 +214,7 @@ class Residual:
         clone.problem = self.problem
         clone.to = self.to
         clone.topology = self.topology
-        clone._adj = self._adj
+        clone.source_mask = self.source_mask
         clone.residual = list(self.residual)
         return clone
 
@@ -215,40 +224,34 @@ class Residual:
 
     def reachable_from(self, start: int) -> np.ndarray:
         """Boolean mask of nodes reachable from ``start`` via positive residual."""
-        seen = np.zeros(self.problem.n, dtype=bool)
+        seen = [False] * self.problem.n
         seen[start] = True
         stack = [start]
-        topo = self.topology
-        indptr, arcs, to, residual = topo.indptr, topo.arcs, self.to, self.residual
+        out_arcs, out_heads = self.topology.adjacency()
+        residual = self.residual
         while stack:
             u = stack.pop()
-            for i in range(indptr[u], indptr[u + 1]):
-                a = arcs[i]
-                if residual[a] > 0:
-                    v = to[a]
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-        return seen
+            for a, v in zip(out_arcs[u], out_heads[u]):
+                if residual[a] > 0 and not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        return np.array(seen)
 
     def co_reachable_to(self, target: int) -> np.ndarray:
         """Boolean mask of nodes that can reach ``target`` via positive residual."""
-        seen = np.zeros(self.problem.n, dtype=bool)
+        seen = [False] * self.problem.n
         seen[target] = True
         stack = [target]
-        topo = self.topology
-        indptr, arcs, to, residual = topo.indptr, topo.arcs, self.to, self.residual
+        out_arcs, out_heads = self.topology.adjacency()
+        residual = self.residual
         while stack:
             v = stack.pop()
-            for i in range(indptr[v], indptr[v + 1]):
-                a = arcs[i]
-                # arc a leaves v; its partner a^1 enters v from to[a].
-                if residual[a ^ 1] > 0:
-                    u = to[a]
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-        return seen
+            # arc a leaves v; its partner a^1 enters v from u.
+            for a, u in zip(out_arcs[v], out_heads[v]):
+                if residual[a ^ 1] > 0 and not seen[u]:
+                    seen[u] = True
+                    stack.append(u)
+        return np.array(seen)
 
 
 @dataclass(frozen=True)
@@ -286,8 +289,15 @@ class FlowResult:
             )
 
     def source_side(self) -> np.ndarray:
-        """Min-cut source side: nodes residually reachable from the source."""
-        return self.residual.reachable_from(self.problem.source)
+        """Min-cut source side: nodes residually reachable from the source.
+
+        The mask the Dinic kernel's last BFS handed over when there is one
+        (read-only), else a fresh traversal.
+        """
+        mask = self.residual.source_mask
+        if mask is None:
+            mask = self.residual.reachable_from(self.problem.source)
+        return mask
 
     def sink_side_complement(self) -> np.ndarray:
         """Largest min-cut source side: complement of nodes co-reachable to sink."""

@@ -323,7 +323,8 @@ class ParametricMaxFlow:
         probe's capacities stay integral) or a ``Fraction`` (leave the
         integer scale for exact ``Fraction`` units).  Positive scaling
         keeps every residual's sign, so the flow stays maximum, heights
-        stay valid and later steps take the same decisions.
+        and the residual's ``source_mask`` stay valid and later steps take
+        the same decisions.
         """
         res = self._res
         p = res.problem
@@ -376,6 +377,8 @@ class ParametricMaxFlow:
                 self._res.residual[2 * j] += delta
                 caps[j] = c
                 changed = True
+        if changed:
+            self._res.source_mask = None  # new residual may open paths out of the cut
         # topology and endpoints are unchanged and the new capacities were
         # validated monotone above, so skip __post_init__'s O(m) re-check
         problem = FlowProblem._trusted(

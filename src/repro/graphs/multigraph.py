@@ -98,6 +98,15 @@ class MultiGraph:
         g._m_alive = self._m_alive
         return g
 
+    def __getstate__(self):
+        """Pickle the edge store only.  The derived caches — the adjacency
+        view and the CSR snapshot with everything memoized on it (``G*``,
+        its flow topology, encoded edge bytes) — are rebuilt on demand,
+        so they never cross a process boundary."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_adj_cache"] = state["_csr_cache"] = None
+        return None, state
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

@@ -97,6 +97,12 @@ def try_scale(
     fallback: the caller must then take the ``Fraction`` path.  Never
     raises for in-domain rationals and never rounds.
     """
+    values = list(values)
+    if all(type(v) is int for v in values):
+        # already on the integer scale: only the magnitude guard applies
+        if values and (max(values) > limit or min(values) < -limit):
+            return None
+        return ScaledValues(ints=values, denominator=1)
     fracs = [_as_rational(v) for v in values]
     den = lcm(*[f.denominator for f in fracs]) if fracs else 1
     if den > limit:

@@ -8,6 +8,7 @@ without mutation, invalidation on graph mutation, a bounded memo, the
 no state across rays or calls.
 """
 
+import pickle
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from repro.graphs import generators as gen
 from repro.graphs.extended import _MEMO_PER_SNAPSHOT, extended_graph_of
 from repro.network import NetworkSpec
 from repro.numeric import fraction_fallbacks_total, reset_counters
-from repro.sweep import FeasibilityCache, random_instance_spec
+from repro.sweep import (FeasibilityCache, canonical_ray_key, canonical_spec_key,
+                         random_instance_spec)
 
 
 def facts(value):
@@ -145,6 +147,42 @@ class TestSharedSubstrate:
         fresh = build_extended_graph(g, in_rates, out_rates)
         assert facts(report) == facts(classify_network_cold(fresh, algorithm))
         assert facts(envelope) == facts(breakpoint_envelope(fresh, algorithm=algorithm))
+
+
+class TestPickle:
+    """Solving fills caches on the graph (CSR snapshot, ``G*`` memo, flow
+    topology and its adjacency); none of it may ride along in a pickle."""
+
+    def test_solved_spec_pickles_like_a_fresh_one(self):
+        params = {"family": "gnp", "n": 150, "sources": 3, "sinks": 2, "p": 0.4}
+        spec = random_instance_spec(params, 3)
+        fresh = random_instance_spec(params, 3)
+        cache = FeasibilityCache()
+        cache.classify(spec)
+        cache.region(spec)
+        assert spec.graph._csr_cache is not None  # solving did fill the caches
+        solved = pickle.dumps(spec)
+        assert len(solved) <= len(pickle.dumps(fresh))
+        back = pickle.loads(solved)
+        assert list(back.graph.edges()) == list(spec.graph.edges())
+        assert (back.in_rates, back.out_rates) == (spec.in_rates, spec.out_rates)
+        assert canonical_spec_key(back) == canonical_spec_key(spec)
+        ray = {v: 2 for v in spec.in_rates}
+        assert canonical_ray_key(back, ray) == canonical_ray_key(spec, ray)
+        # the live graph keeps its caches; the copy rebuilds its own
+        assert spec.graph._csr_cache is not None
+        assert back.extended() is not spec.extended()
+        assert facts(cache.classify(spec)) == facts(classify_network(back.extended()))
+
+    def test_round_trip_keeps_tombstones_and_stays_mutable(self):
+        g = gen.grid(3, 3)
+        g.remove_edge(2)
+        g.to_csr()
+        back = pickle.loads(pickle.dumps(g))
+        assert list(back.edges()) == list(g.edges())
+        assert back.m == g.m
+        assert back.add_edge(0, 8) == g.add_edge(0, 8)
+        assert list(back.edges()) == list(g.edges())
 
 
 #: Small versions of the region-map families, six instances each.

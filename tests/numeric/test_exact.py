@@ -65,9 +65,41 @@ class TestGuards:
         assert try_scale([INT_SCALE_LIMIT + 1]) is None
         assert try_scale([INT_SCALE_LIMIT]) is not None
 
+    def test_negative_limit_is_inclusive_boundary(self):
+        assert try_scale([3, -INT_SCALE_LIMIT - 1]) is None
+        assert try_scale([3, -INT_SCALE_LIMIT]) is not None
+
     def test_scale_int_rejects_non_multiple(self):
         with pytest.raises(FlowError):
             scale_int(Fraction(1, 3), 4)
+
+
+class TestIntegerBatches:
+    """An all-``int`` batch takes a shortcut; it must answer exactly like
+    the general common-denominator path, which ``Fraction(v)`` forces."""
+
+    @pytest.mark.parametrize("values", [
+        [], [0], [1, 2, 300], [5, -7, 0, 12], [INT_SCALE_LIMIT, -INT_SCALE_LIMIT],
+        [INT_SCALE_LIMIT + 1, 2], [1, -(1 << 70)],
+    ])
+    def test_matches_the_general_path(self, values):
+        fast = try_scale(values)
+        general = try_scale([Fraction(v) for v in values])
+        if general is None:
+            assert fast is None
+            return
+        assert fast == general
+        assert fast.denominator == 1
+        assert all(type(i) is int for i in fast.ints)
+
+    def test_result_is_a_fresh_list(self):
+        values = [4, 5, 6]
+        scaled = try_scale(values)
+        assert scaled.ints == values and scaled.ints is not values
+
+    def test_accepts_an_iterator(self):
+        assert try_scale(iter([2, 3])) == try_scale([2, 3])
+        assert try_scale(iter([2, Fraction(1, 2)])) == try_scale([2, Fraction(1, 2)])
 
 
 class TestCounters:
