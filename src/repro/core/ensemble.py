@@ -4,7 +4,7 @@ Monte-Carlo experiments (Conjecture 3's "with high probability", the E17
 confusion matrix, seed-sensitivity sweeps) re-run the same network dozens
 of times.  :class:`EnsembleSimulator` is the *batched backend* of the
 shared stage pipeline (:mod:`repro.core.pipeline`): it steps ``R``
-replicas as a single ``(R, n)`` queue matrix — one composite-key argsort
+replicas as a single ``(R, n)`` queue matrix — one row-wise stable argsort
 per step for all replicas' Algorithm 1 decisions — while running exactly
 the same stage objects as the scalar :class:`~repro.core.engine.Simulator`.
 

@@ -6,11 +6,12 @@ a completely deterministic integer recurrence, yet the stage pipeline pays
 tens of microseconds per step shuffling numpy scaffolding through it.
 This module runs the recurrence in plain Python integers instead:
 
-* neighbour lists are pre-sorted **once** by the tie-break key (Algorithm 1
-  orders ``Γ(u)`` by revealed queue, then by the pluggable tie key — a
-  stable sort on the queue alone therefore reproduces the full composite
-  order), and re-sorted per step only when the sender's packet budget
-  actually truncates the eligible list;
+* neighbour lists come pre-sorted by the tie-break key from the topology's
+  shared presorted order (:meth:`repro.core.lgg_fast.HalfEdges.presorted`;
+  Algorithm 1 orders ``Γ(u)`` by revealed queue, then by the pluggable tie
+  key — a stable sort on the queue alone therefore reproduces the full
+  composite order), and are re-sorted per step only when the sender's
+  packet budget actually truncates the eligible list;
 * whole step transitions are memoized on the boundary queue vector:
   deterministic runs either fall into a cycle (every step after the
   transient is a dictionary hit) or diverge, in which case the memo shuts
@@ -29,6 +30,7 @@ into an error for callers who *require* the kernel).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -62,7 +64,7 @@ MISS_STREAK_LIMIT = 1 << 10
 _sumprod = getattr(math, "sumprod", None)
 if _sumprod is None:  # pragma: no cover - Python < 3.12
     def _sumprod(p, q):
-        return sum(a * b for a, b in zip(p, q))
+        return sum(map(operator.mul, p, q))
 
 _FAST_TIEBREAKS = (TieBreak.QUEUE_THEN_ID, TieBreak.QUEUE_THEN_REVERSED_ID)
 
@@ -151,23 +153,6 @@ def ensemble_ineligibility_reasons(ens) -> list[str]:
 # ----------------------------------------------------------------------
 # the kernel
 # ----------------------------------------------------------------------
-def _presorted_neighbors(half, reverse: bool) -> list[list[int]]:
-    """Per-node receiver lists in tie-key order (one entry per half-edge)."""
-    indptr = half.indptr
-    recv = half.receivers
-    eids = half.edge_ids
-    stride = half.num_edge_slots + 1
-    nbrs: list[list[int]] = []
-    for u in range(len(indptr) - 1):
-        lo, hi = int(indptr[u]), int(indptr[u + 1])
-        pairs = sorted(
-            ((int(recv[i]) * stride + int(eids[i]), int(recv[i])) for i in range(lo, hi)),
-            reverse=reverse,
-        )
-        nbrs.append([v for _, v in pairs])
-    return nbrs
-
-
 def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
     """Run ``steps`` classical LGG steps from ``q0`` in pure integers.
 
@@ -178,8 +163,7 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
     post-step queue snapshots.
     """
     n = spec.n
-    reverse = tiebreak is TieBreak.QUEUE_THEN_REVERSED_ID
-    nbrs = _presorted_neighbors(half, reverse)
+    nbrs = half.presorted(tiebreak).neighbor_lists  # shared: read only
     active = [u for u in range(n) if nbrs[u]]
     in_list = list(spec.in_rates.items())
     out_list = list(spec.out_rates.items())
@@ -230,7 +214,7 @@ def _simulate(spec, half, tiebreak, q0, steps: int, record_queues: bool):
                 continue
             if m > qu:
                 # stable sort by revealed queue preserves the tie-key
-                # pre-order, reproducing the pipeline's composite lexsort
+                # pre-order, reproducing the pipeline's presorted selection
                 elig = sorted(elig, key=q.__getitem__)[:qu]
                 m = qu
             delta[u] -= m

@@ -51,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.lgg_fast import HalfEdges, lgg_select_fast_batched
+from repro.core.policies import LGGPolicy
 from repro.errors import SimulationError, SpecError
 from repro.obs.trace import step_record
 from repro.network.spec import RevelationPolicy
@@ -68,6 +69,7 @@ __all__ = [
     "STAGE_NAMES",
     "reveal_queues",
     "link_capacity_keep",
+    "link_conflicts_impossible",
     "extraction_amounts",
 ]
 
@@ -348,6 +350,11 @@ class InjectionStage(Stage):
 
     @staticmethod
     def _validate(spec, inj, shape, in_vec) -> None:
+        # accept the classical case in two passes; anything else meets the
+        # full checks below, in their order, so every error stays the same
+        if (spec.exact_injection and inj.shape == shape
+                and (inj == in_vec).all() and in_vec.min(initial=0) >= 0):
+            return
         if inj.shape != shape:
             raise SimulationError(f"arrival process returned shape {inj.shape}")
         if (inj < 0).any():
@@ -484,12 +491,33 @@ class BudgetStage(Stage):
             )
 
 
+def link_conflicts_impossible(policy_type: type, spec, mode: LinkCapacityMode) -> bool:
+    """True when :func:`link_capacity_keep` provably keeps every transmission.
+
+    Algorithm 1 selects each directed half-edge at most once, so a
+    ``PER_DIRECTION`` conflict never arises, and its gradient test is
+    strict: ``q_u > q_v`` and ``q_v > q_u`` cannot both hold, so with
+    declared queues equal to true ones (truthful revelation, or ``R = 0``)
+    no link is contested either.  Only lying terminals under ``PER_LINK``
+    capacity, or another policy, can contest a link.
+    """
+    return policy_type is LGGPolicy and (
+        spec.revelation is RevelationPolicy.TRUTHFUL
+        or spec.retention == 0
+        or mode is LinkCapacityMode.PER_DIRECTION
+    )
+
+
 class LinkCapacityStage(Stage):
     """Enforce "each link can transmit at most 1 packet" (Section II)."""
 
     name = "link_capacity"
 
     def scalar(self, host, st: StepState) -> None:
+        if link_conflicts_impossible(
+            type(host.policy), host.spec, host.config.link_capacity
+        ):
+            return
         keep = link_capacity_keep(
             st.eids, st.snd, st.rcv, host.queues, host.config.link_capacity
         )
@@ -497,14 +525,8 @@ class LinkCapacityStage(Stage):
             st.eids, st.snd, st.rcv = st.eids[keep], st.snd[keep], st.rcv[keep]
 
     def batched(self, host, st: StepState) -> None:
-        # Conflicts are provably impossible for LGG under truthful
-        # revelation (the gradient test is strict: q_u > q_v and q_v > q_u
-        # cannot both hold) and under PER_DIRECTION capacity (each directed
-        # half-edge is selected at most once).  Only lying terminals with
-        # PER_LINK capacity can contest a link.
-        if host.spec.revelation is RevelationPolicy.TRUTHFUL:
-            return
-        if host.config.link_capacity is LinkCapacityMode.PER_DIRECTION:
+        # the batched backend runs Algorithm 1 only
+        if link_conflicts_impossible(LGGPolicy, host.spec, host.config.link_capacity):
             return
         if st.sel_mask.shape[1] == 0:
             return

@@ -9,8 +9,9 @@ the adjacency view (:class:`repro.graphs.multigraph.Adjacency`), the sweep
 cache's canonical hashes, and the integer LGG kernel's neighbour lists.
 The extended graph ``G*`` interleaves its arc table from the snapshot's
 edge arrays and is memoized on the snapshot
-(:func:`repro.graphs.extended.extended_graph_of`), so a mutation retires
-both together.
+(:func:`repro.graphs.extended.extended_graph_of`), and so is Algorithm 1's
+presorted half-edge order per tie-break, so a mutation retires them
+together.
 
 Layout
 ------
@@ -64,6 +65,8 @@ class CSRTopology:
     heads: np.ndarray            # (m,) int64 second endpoint, as added
     #: ``G*`` memo of :func:`repro.graphs.extended.extended_graph_of`
     extended_memo: dict = field(default_factory=dict, compare=False, repr=False)
+    #: tie-break → presorted half-edge order (:meth:`repro.core.lgg_fast.HalfEdges.presorted`)
+    presort_memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def m(self) -> int:

@@ -62,9 +62,10 @@ class GreedyMatchingInterference:
             return keep
         weight = queues[senders] - revealed[receivers]
         order = np.lexsort((senders, edge_ids, -weight))
+        snd, rcv = senders.tolist(), receivers.tolist()
         busy: set[int] = set()
-        for i in order:
-            u, v = int(senders[i]), int(receivers[i])
+        for i in order.tolist():
+            u, v = snd[i], rcv[i]
             if u in busy or v in busy:
                 continue
             keep[i] = True
