@@ -16,7 +16,7 @@ from repro.core import (
     lgg_select_fast,
     lgg_select_reference,
 )
-from repro.flow import max_flow
+from repro.flow.oracles import ALGORITHMS
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -82,5 +82,5 @@ class TestMaxFlowSolvers:
     @pytest.mark.parametrize("algo", ["dinic", "edmonds_karp", "push_relabel"])
     def test_solver(self, algo, benchmark):
         p = self._instance()
-        result = benchmark(max_flow, p, algo)
+        result = benchmark(ALGORITHMS[algo], p)
         assert result.value == 2

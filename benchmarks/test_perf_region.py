@@ -14,7 +14,10 @@ and the margin falls out exactly, not ``tol``-bracketed.
 Consistency is asserted unconditionally: at every sampled scale the
 envelope's verdict (class and max-flow value) must equal the scaled
 classify's, and the ε-probe margin must bracket the exact one from
-below within ``TOL``.  Only the wall-clock ratio is gated on
+below within ``TOL``.  Both paths run Dinic; the other solvers of
+:data:`repro.flow.oracles.ALGORITHMS` each take the old path's place as
+cold oracles (cold classify per scale, cold margin search), equality
+only.  Only the Dinic case's wall-clock ratio is gated, on
 ``perf_asserts`` (off under ``--perf-smoke``, where shared CI runners
 make timing flaky).
 
@@ -25,14 +28,19 @@ output, not an input).
 import json
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import NetworkClass, classify_network, classify_region
-from repro.flow.oracles import max_unsaturation_margin_probe
+from repro.flow.oracles import (
+    ALGORITHMS,
+    classify_network_cold,
+    max_unsaturation_margin_cold,
+    max_unsaturation_margin_probe,
+)
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 
@@ -93,15 +101,17 @@ class TestRegionEnvelopeSpeedup:
     def test_envelope_beats_probe_path_3x(self, algorithm, benchmark,
                                           perf_asserts):
         instances = _instances()
+        if algorithm == "dinic":
+            classify, margin_of = classify_network, max_unsaturation_margin_probe
+        else:  # another solver: the cold oracles, equality only
+            classify = partial(classify_network_cold, algorithm=algorithm)
+            margin_of = partial(max_unsaturation_margin_cold, algorithm=algorithm)
 
         # warm-up: let both paths touch their code once, off the clock
         g0, in0, out0 = instances[0]
-        classify_region(build_extended_graph(g0, in0, out0),
-                        algorithm=algorithm)
-        classify_network(build_extended_graph(g0, in0, out0),
-                         algorithm=algorithm)
-        max_unsaturation_margin_probe(build_extended_graph(g0, in0, out0),
-                                      tol=TOL, algorithm=algorithm)
+        classify_region(build_extended_graph(g0, in0, out0))
+        classify(build_extended_graph(g0, in0, out0))
+        margin_of(build_extended_graph(g0, in0, out0), tol=TOL)
 
         # -- old path: one warm classify per sampled scale, ε-probe margin
         probe_rows, probe_margins = [], []
@@ -111,12 +121,11 @@ class TestRegionEnvelopeSpeedup:
             for s in SCALES:
                 scaled = build_extended_graph(
                     g, {v: s * r for v, r in in_rates.items()}, out_rates)
-                rep = classify_network(scaled, algorithm=algorithm)
+                rep = classify(scaled)
                 row.append((rep.network_class, rep.max_flow_value))
             probe_rows.append(row)
-            probe_margins.append(max_unsaturation_margin_probe(
-                build_extended_graph(g, in_rates, out_rates),
-                tol=TOL, algorithm=algorithm))
+            probe_margins.append(margin_of(
+                build_extended_graph(g, in_rates, out_rates), tol=TOL))
         probe_s = time.perf_counter() - t0
 
         # -- new path: one parametric solve per ray, lookups per scale
@@ -126,8 +135,7 @@ class TestRegionEnvelopeSpeedup:
             reports.clear()
             for g, in_rates, out_rates in instances:
                 report = classify_region(
-                    build_extended_graph(g, in_rates, out_rates),
-                    algorithm=algorithm)
+                    build_extended_graph(g, in_rates, out_rates))
                 env = report.envelope
                 row = [(NetworkClass.UNSATURATED if s < env.lambda_star
                         else NetworkClass.SATURATED if s == env.lambda_star
@@ -139,6 +147,18 @@ class TestRegionEnvelopeSpeedup:
         benchmark.pedantic(envelope_pass, rounds=1, iterations=1)
         envelope_s = benchmark.stats["mean"]
         speedup = probe_s / envelope_s if envelope_s > 0 else float("inf")
+
+        # correctness is never timing-gated: every sampled verdict must
+        # match, and the bisection bracket must contain the exact margin
+        for (report, row), old_row, margin in zip(reports, probe_rows,
+                                                  probe_margins):
+            assert row == old_row
+            if margin >= 2**20:
+                assert report.margin >= 2**20  # probe bailed at its cap
+            else:
+                assert margin <= report.margin < margin + TOL
+        if algorithm != "dinic":
+            return  # the old path on another solver's cold oracles
 
         _record({
             "bench": "region_envelope",
@@ -154,16 +174,6 @@ class TestRegionEnvelopeSpeedup:
         print(f"\n[region:{algorithm}] probe {probe_s:.3f}s  "
               f"envelope {envelope_s:.3f}s  speedup {speedup:.2f}x over "
               f"{len(instances)} rays x {len(SCALES)} scales")
-
-        # correctness is never timing-gated: every sampled verdict must
-        # match, and the bisection bracket must contain the exact margin
-        for (report, row), old_row, margin in zip(reports, probe_rows,
-                                                  probe_margins):
-            assert row == old_row
-            if margin >= 2**20:
-                assert report.margin >= 2**20  # probe bailed at its cap
-            else:
-                assert margin <= report.margin < margin + TOL
 
         if perf_asserts:
             assert speedup >= SPEEDUP_FLOOR, (

@@ -77,7 +77,7 @@ class TestFlowScaling:
     @pytest.mark.parametrize("side", [10, 20])
     def test_dinic(self, side, benchmark):
         p = self._problem(side)
-        benchmark(max_flow, p, "dinic")
+        benchmark(max_flow, p)
 
     @pytest.mark.parametrize("side", [10, 20])
     def test_lp_highs(self, side, benchmark):

@@ -113,8 +113,7 @@ class FlowRoutingPolicy(_PolicyBase):
     allowing a maximum flow" that the stability proof compares LGG to.
     """
 
-    def __init__(self, spec: NetworkSpec, *, algorithm: str = "dinic") -> None:
-        self._algorithm = algorithm
+    def __init__(self, spec: NetworkSpec) -> None:
         self._plan_edges: np.ndarray = _EMPTY
         self._plan_senders: np.ndarray = _EMPTY
         self._plan_receivers: np.ndarray = _EMPTY
@@ -124,7 +123,7 @@ class FlowRoutingPolicy(_PolicyBase):
         from repro.flow import feasible_flow, edge_flow_from_result
 
         ext = spec.extended()
-        result = feasible_flow(ext, self._algorithm)
+        result = feasible_flow(ext)
         plan = edge_flow_from_result(ext, result)
         rows = [(eid, u, v) for eid, (u, v, amt) in sorted(plan.items()) if amt > 0]
         if rows:

@@ -32,7 +32,7 @@ from scipy.stats import spearmanr
 from repro.core import SimulationConfig, Simulator
 from repro.exp.common import ExperimentResult, main_for, register
 from repro.flow.distributed_pr import distributed_push_relabel
-from repro.flow.maxflow import max_flow
+from repro.flow.dinic import dinic
 from repro.flow.residual import FlowProblem
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -89,7 +89,7 @@ def run(fast: bool = True, seed: int = 0) -> ExperimentResult:
 
         # (2) same optimum: GT value == max flow; LGG delivery == max flow
         problem = FlowProblem.from_extended(spec.extended())
-        flow_value = int(max_flow(problem).value)
+        flow_value = int(dinic(problem).value)
         pr = distributed_push_relabel(problem)
         tail = res.trajectory.delivered[-500:]
         lgg_rate = float(np.mean(tail))

@@ -7,15 +7,13 @@ implements, from scratch:
 * :mod:`~repro.flow.residual` — the directed flow-network representation
   shared by all solvers (exact :class:`fractions.Fraction` or float
   capacities),
-* :mod:`~repro.flow.edmonds_karp` — BFS augmenting paths,
-* :mod:`~repro.flow.dinic` — Dinic's blocking-flow algorithm,
-* :mod:`~repro.flow.push_relabel` — Goldberg–Tarjan push-relabel (the
-  paper's reference [6]), FIFO and highest-label variants,
+* :mod:`~repro.flow.dinic` — Dinic's blocking-flow algorithm, the one
+  production max-flow engine (:func:`max_flow` is Dinic),
 * :mod:`~repro.flow.mincut` — cut extraction and the cut taxonomy of
   Section V (trivial source cut / sink cut / interior S-D-cut),
 * :mod:`~repro.flow.warmstart` — the parametric warm-start engine: one
-  cold solve, then monotone capacity increases answered by in-place
-  residual re-augmentation (Dinic-on-residual or warm push-relabel),
+  cold Dinic solve, then monotone capacity increases answered by in-place
+  Dinic-on-residual re-augmentation,
 * :mod:`~repro.flow.parametric` — the Gallo–Grigoriadis–Tarjan breakpoint
   envelope: the exact critical scalar λ* and the full piecewise-linear
   min-cut envelope along a ray in rate space, one cold solve per ray,
@@ -24,11 +22,18 @@ implements, from scratch:
   the envelope's scaled-integer ladder (the cold twins live in
   :mod:`~repro.flow.oracles`, which this package does not export),
 * :mod:`~repro.flow.decomposition` — flow → path decomposition, used by the
-  maximum-flow routing baseline (the ``E_t^Φ`` of the proofs).
+  maximum-flow routing baseline (the ``E_t^Φ`` of the proofs),
+* :mod:`~repro.flow.distributed_pr` — the round-synchronous Goldberg–Tarjan
+  push-relabel (the paper's reference [6]).
+
+The cold Edmonds–Karp and push-relabel solvers
+(:mod:`~repro.flow.edmonds_karp`, :mod:`~repro.flow.push_relabel`) are
+differential oracles, reached through the ``ALGORITHMS`` registry of
+:mod:`~repro.flow.oracles`.
 """
 
 from repro.flow.residual import FlowProblem, FlowResult
-from repro.flow.maxflow import max_flow, ALGORITHMS
+from repro.flow.dinic import dinic as max_flow
 from repro.flow.mincut import min_cut, CutKind, MinCut, classify_cut, is_unique_min_cut, is_sd_cut
 from repro.flow.feasibility import (
     FeasibilityReport,
@@ -60,7 +65,6 @@ __all__ = [
     "FlowProblem",
     "FlowResult",
     "max_flow",
-    "ALGORITHMS",
     "min_cut",
     "CutKind",
     "MinCut",

@@ -8,7 +8,7 @@ extra witness.
 
 Restricted to *integer* capacities (the classical setting of the
 algorithm); fractional or float instances should use Dinic.  Deliberately
-not in the :data:`repro.flow.maxflow.ALGORITHMS` registry for that reason —
+not in the :data:`repro.flow.oracles.ALGORITHMS` registry for that reason —
 import it explicitly.
 """
 

@@ -16,7 +16,7 @@ augmenting paths, same counters, same final residual):
 
 * **Adjacency on the topology.**  BFS and DFS walk the per-node
   ``(arcs, heads)`` lists of :meth:`FlowTopology.adjacency`, built once per
-  topology on the first solve and shared by every fork and ladder on it.
+  topology and shared by every fork and ladder on it.
 * **Level cap.**  The BFS goes one level at a time and stops as soon as
   the sink is one step away.  It labels nothing at or beyond the sink's
   level, nor the nodes one level below it that have no residual arc into

@@ -19,8 +19,7 @@ def edmonds_karp(problem: FlowProblem) -> FlowResult:
     """Compute a maximum ``source -> sink`` flow by BFS augmentation."""
     res = Residual(problem)
     s, t = problem.source, problem.sink
-    topo = res.topology
-    indptr, arcs = topo.indptr, topo.arcs
+    out_arcs, out_heads = res.topology.adjacency()
     to, residual = res.to, res.residual
     value = 0
     augmentations = 0
@@ -34,16 +33,13 @@ def edmonds_karp(problem: FlowProblem) -> FlowResult:
         found = False
         while queue and not found:
             u = queue.popleft()
-            for i in range(indptr[u], indptr[u + 1]):
-                a = arcs[i]
-                if residual[a] > 0:
-                    v = to[a]
-                    if parent_arc[v] == -1:
-                        parent_arc[v] = a
-                        if v == t:
-                            found = True
-                            break
-                        queue.append(v)
+            for a, v in zip(out_arcs[u], out_heads[u]):
+                if residual[a] > 0 and parent_arc[v] == -1:
+                    parent_arc[v] = a
+                    if v == t:
+                        found = True
+                        break
+                    queue.append(v)
         if not found:
             break
         # bottleneck along the path, then push

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import FlowError
-from repro.flow.maxflow import max_flow
+from repro.flow.dinic import dinic
 from repro.flow.mincut import CutKind, MinCut, classify_cut, is_unique_min_cut, min_cut
 from repro.flow.parametric import BreakpointEnvelope, _Ladder, breakpoint_envelope
 from repro.flow.residual import FlowProblem, FlowResult
@@ -98,21 +98,24 @@ def _exact_problem(ext, *, source_cap_override=None) -> FlowProblem:
     )
 
 
-def feasible_flow(ext, algorithm: str = "dinic") -> FlowResult:
-    """Max ``s*``-``d*`` flow of ``G*`` with the nominal source capacities."""
-    return max_flow(_exact_problem(ext), algorithm)
-
-
-def f_star(ext, algorithm: str = "dinic") -> object:
-    """Max flow with *infinite* capacity on the ``(s*, v)`` arcs.
+def _f_star_problem(ext) -> FlowProblem:
+    """``G*`` with *infinite* capacity on the ``(s*, v)`` arcs.
 
     "Infinite" is implemented as total sink capacity + 1, which no s*-d*
     flow can exceed, so the relaxation is exact.
     """
     big = sum(ext.out_rates.values(), start=Fraction(0)) + 1
-    override = {v: big for v in ext.in_rates}
-    result = max_flow(_exact_problem(ext, source_cap_override=override), algorithm)
-    return result.value
+    return _exact_problem(ext, source_cap_override={v: big for v in ext.in_rates})
+
+
+def feasible_flow(ext) -> FlowResult:
+    """Max ``s*``-``d*`` flow of ``G*`` with the nominal source capacities."""
+    return dinic(_exact_problem(ext))
+
+
+def f_star(ext) -> object:
+    """Max flow with *infinite* capacity on the ``(s*, v)`` arcs."""
+    return dinic(_f_star_problem(ext)).value
 
 
 def certification_epsilon(ext) -> Fraction:
@@ -144,7 +147,7 @@ def certification_epsilon(ext) -> Fraction:
     return Fraction(1, 2 * L * (int(arrival) + 2))
 
 
-def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
+def classify_network(ext) -> FeasibilityReport:
     """Full Definitions 3–4 classification of an extended graph ``G*``.
 
     Three probes of one parametric ladder along the nominal injection ray
@@ -161,8 +164,8 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
     ``repro.flow.oracles.classify_network_cold``.
     """
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    with span("flow.classify", algorithm=algorithm) as sp:
-        ladder = _Ladder(ext, ext.in_rates, algorithm, first=Fraction(1))
+    with span("flow.classify") as sp:
+        ladder = _Ladder(ext, ext.in_rates, first=Fraction(1))
         value, engine = ladder.probe(Fraction(1))
         result = engine.result
         cut = min_cut(result)
@@ -195,7 +198,7 @@ def classify_network(ext, algorithm: str = "dinic") -> FeasibilityReport:
     )
 
 
-def max_unsaturation_margin(ext, *, algorithm: str = "dinic") -> Fraction:
+def max_unsaturation_margin(ext) -> Fraction:
     """The *exact* largest ε with ``(1 + ε) in`` still feasible.
 
     This is the ε of Definition 4 maximised: ``λ* − 1`` along the nominal
@@ -207,7 +210,7 @@ def max_unsaturation_margin(ext, *, algorithm: str = "dinic") -> Fraction:
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         raise FlowError("margin undefined for a network with no injections")
-    env = breakpoint_envelope(ext, algorithm=algorithm)
+    env = breakpoint_envelope(ext)
     return max(Fraction(0), env.lambda_star - 1)
 
 
@@ -256,8 +259,7 @@ class RegionReport:
         return self.margin if self.margin > 0 else None
 
 
-def classify_region(ext, algorithm: str = "dinic", *,
-                    envelope: BreakpointEnvelope | None = None) -> RegionReport:
+def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> RegionReport:
     """Classify a network from one parametric envelope solve.
 
     The verdict is a pure function of the exact critical scalar: λ* > 1
@@ -271,7 +273,7 @@ def classify_region(ext, algorithm: str = "dinic", *,
     skip the solve entirely.
     """
     if envelope is None:
-        envelope = breakpoint_envelope(ext, algorithm=algorithm)
+        envelope = breakpoint_envelope(ext)
     return region_from_envelope(envelope, ext.n)
 
 

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from repro.errors import FlowError
-from repro.flow.maxflow import max_flow
+from repro.flow.dinic import dinic
 from repro.flow.residual import FlowProblem, FlowResult
 
 __all__ = ["CutKind", "MinCut", "min_cut", "classify_cut", "is_unique_min_cut", "is_sd_cut"]
@@ -130,7 +130,7 @@ def classify_cut(cut: MinCut, problem: FlowProblem) -> CutKind:
     return CutKind.INTERIOR
 
 
-def all_min_cut_kinds(problem: FlowProblem, algorithm: str = "dinic") -> set[CutKind]:
+def all_min_cut_kinds(problem: FlowProblem) -> set[CutKind]:
     """Kinds realised by the extreme min cuts (min and max source side).
 
     Section V-B needs to know whether, besides the trivial source cut, the
@@ -139,7 +139,7 @@ def all_min_cut_kinds(problem: FlowProblem, algorithm: str = "dinic") -> set[Cut
     min cut exists, at least one of the extremes is interior or the extremes
     differ.
     """
-    result = max_flow(problem, algorithm)
+    result = dinic(problem)
     kinds = set()
     for side in ("min", "max"):
         kinds.add(classify_cut(min_cut(result, side=side), problem))

@@ -1,51 +1,79 @@
-"""Cold and bracketed twins of the feasibility stack, kept as oracles.
+"""Cold solvers and cold or bracketed twins of the feasibility stack,
+kept as oracles.
 
-Differential tests and benchmarks compare :mod:`repro.flow.feasibility`
-against these slower, independent paths: :func:`classify_network_cold`
-(three cold ``Fraction`` solves), :func:`max_unsaturation_margin_probe`
-(warm bracket and bisection, within ``tol`` of the exact margin) and
-:func:`max_unsaturation_margin_cold` (the same search, every probe cold).
+Production answers every flow question with Dinic
+(:func:`repro.flow.max_flow` and the warm ladder behind
+:mod:`repro.flow.feasibility`).  Differential tests and benchmarks check
+it against independent solvers and slower paths:
+
+* :data:`ALGORITHMS` — the four cold max-flow solvers by name: Dinic,
+  Edmonds–Karp, and highest-label and FIFO Goldberg–Tarjan push-relabel.
+  This is the only module that imports :mod:`repro.flow.edmonds_karp`
+  and :mod:`repro.flow.push_relabel`;
+* :func:`classify_network_cold` (three cold ``Fraction`` solves by any
+  registered solver), :func:`max_unsaturation_margin_probe` (warm
+  bracket and bisection, within ``tol`` of the exact margin) and
+  :func:`max_unsaturation_margin_cold` (the same search, every probe a
+  cold solve).
+
 :mod:`repro.flow` does not export this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from repro.errors import FlowError
+from repro.flow.dinic import dinic
+from repro.flow.edmonds_karp import edmonds_karp
 from repro.flow.feasibility import (
     FeasibilityReport,
     NetworkClass,
     _exact_problem,
+    _f_star_problem,
     certification_epsilon,
-    f_star,
-    feasible_flow,
 )
-from repro.flow.maxflow import max_flow
 from repro.flow.mincut import classify_cut, is_unique_min_cut, min_cut
+from repro.flow.push_relabel import push_relabel
+from repro.flow.residual import FlowProblem, FlowResult
 from repro.flow.warmstart import ParametricMaxFlow, source_arc_updates
 
 __all__ = [
+    "ALGORITHMS",
     "classify_network_cold",
     "max_unsaturation_margin_cold",
     "max_unsaturation_margin_probe",
 ]
 
 
+#: Every cold max-flow solver by name.  They return the same flow *value*;
+#: the flow assignment itself may differ (max flows are not unique), which
+#: the differential tests exploit.
+ALGORITHMS: dict[str, Callable[[FlowProblem], FlowResult]] = {
+    "dinic": dinic,
+    "edmonds_karp": edmonds_karp,
+    "push_relabel": lambda p: push_relabel(p, "highest"),
+    "push_relabel_fifo": lambda p: push_relabel(p, "fifo"),
+}
+
+
 def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
-    """The pre-warm-start classifier: three independent cold solves.
+    """The pre-warm-start classifier: three independent cold solves by
+    ``ALGORITHMS[algorithm]``.
 
     Kept as the differential/benchmark twin of
     :func:`~repro.flow.feasibility.classify_network` —
     same verdicts, no residual reuse.
     """
+    solve = ALGORITHMS[algorithm]
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
-    base = feasible_flow(ext, algorithm)
+    base = solve(_exact_problem(ext))
     cut = min_cut(base)
     problem = base.problem
     kind = classify_cut(cut, problem)
     unique = is_unique_min_cut(base)
-    fs = f_star(ext, algorithm)
+    fs = solve(_f_star_problem(ext)).value
 
     if base.value < arrival:
         return FeasibilityReport(
@@ -61,7 +89,7 @@ def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
 
     eps = certification_epsilon(ext)
     scaled_caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-    scaled = max_flow(_exact_problem(ext, source_cap_override=scaled_caps), algorithm)
+    scaled = solve(_exact_problem(ext, source_cap_override=scaled_caps))
     unsaturated = scaled.value == (1 + eps) * arrival
 
     return FeasibilityReport(
@@ -76,7 +104,7 @@ def classify_network_cold(ext, algorithm: str = "dinic") -> FeasibilityReport:
     )
 
 
-def max_unsaturation_margin_probe(ext, *, tol: Fraction = Fraction(1, 1024), algorithm: str = "dinic") -> Fraction:
+def max_unsaturation_margin_probe(ext, *, tol: Fraction = Fraction(1, 1024)) -> Fraction:
     """Largest ε (to within ``tol``) with ``(1 + ε) in`` still feasible.
 
     The warm bracket-and-bisection search, kept as the differential oracle
@@ -102,7 +130,7 @@ def max_unsaturation_margin_probe(ext, *, tol: Fraction = Fraction(1, 1024), alg
     if arrival <= 0:
         raise FlowError("margin undefined for a network with no injections")
 
-    engine = ParametricMaxFlow(_exact_problem(ext), algorithm)  # state at ε = 0
+    engine = ParametricMaxFlow(_exact_problem(ext))  # state at ε = 0
     if engine.value != arrival:
         return Fraction(0)
 
@@ -154,18 +182,20 @@ def max_unsaturation_margin_probe(ext, *, tol: Fraction = Fraction(1, 1024), alg
 
 
 def max_unsaturation_margin_cold(ext, *, tol: Fraction = Fraction(1, 1024), algorithm: str = "dinic") -> Fraction:
-    """The pre-warm-start margin search: every probe a cold solve.
+    """The pre-warm-start margin search: every probe a cold solve by
+    ``ALGORITHMS[algorithm]``.
 
     Kept as the differential/benchmark twin of
     :func:`max_unsaturation_margin_probe` — identical brackets and result.
     """
+    solve = ALGORITHMS[algorithm]
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
         raise FlowError("margin undefined for a network with no injections")
 
     def feasible_at(eps: Fraction) -> bool:
         caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-        res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+        res = solve(_exact_problem(ext, source_cap_override=caps))
         return res.value == (1 + eps) * arrival
 
     if not feasible_at(Fraction(0)):

@@ -93,7 +93,6 @@ class BreakpointEnvelope:
     arrival_slope: Fraction          # Σ d(v): slope of the demand line λ·Σd
     segments: tuple[EnvelopeSegment, ...]
     lambda_star: Fraction
-    algorithm: str
     cold_solves: int
     probes: int
 
@@ -180,7 +179,7 @@ class _Ladder:
     """
 
     def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Fraction],
-                 algorithm: str, first: Fraction = Fraction(0)) -> None:
+                 first: Fraction = Fraction(0)) -> None:
         self._ext = ext
         self.fell_back = False
         # Source arcs outside the direction support stay pinned to their
@@ -217,7 +216,7 @@ class _Ladder:
             capacities=caps, source=ext.s_star, sink=ext.d_star,
             topology=ext.flow_topology)
         self._lams = [Fraction(first)]
-        self._rungs = [(ParametricMaxFlow(problem, algorithm), scale)]
+        self._rungs = [(ParametricMaxFlow(problem), scale)]
         self.probes = 0
 
         # Past ``plateau`` every parametric arc carries more than the total
@@ -307,8 +306,7 @@ class _Ladder:
                      tuple(crossing), tuple(np.flatnonzero(inside).tolist()))
 
 
-def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
-                        algorithm: str = "dinic") -> BreakpointEnvelope:
+def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelope:
     """Compute the exact min-cut envelope of ``v(λ)`` along a ray.
 
     ``direction`` maps injection nodes to non-negative rates (defaults to
@@ -321,8 +319,8 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
     direction = _normalize_direction(ext, direction)
     arrival_slope = sum(direction.values(), start=Fraction(0))
 
-    with span("flow.envelope", algorithm=algorithm):
-        ladder = _Ladder(ext, direction, algorithm)
+    with span("flow.envelope"):
+        ladder = _Ladder(ext, direction)
 
         # Tangent at λ = 0: the min cut is exactly {s*} (all parametric
         # arcs closed, so no residual arc leaves s*), giving the demand
@@ -404,7 +402,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
 
     reg = get_registry()
     if reg.enabled:
-        lbl = {"algorithm": algorithm}
+        lbl = {"algorithm": "dinic"}
         reg.counter("repro_flow_envelope_solves_total",
                     "Breakpoint-envelope computations (one cold solve each).",
                     ("algorithm",)).labels(**lbl).inc()
@@ -417,7 +415,6 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None, *,
         arrival_slope=arrival_slope,
         segments=tuple(segments),
         lambda_star=lambda_star,
-        algorithm=algorithm,
         cold_solves=1,
         probes=ladder.probes,
     )

@@ -34,8 +34,7 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
         raise FlowError(f"unknown push-relabel variant {variant!r}")
     res = Residual(problem)
     n, s, t = problem.n, problem.source, problem.sink
-    topo = res.topology
-    indptr, arcs = topo.indptr, topo.arcs
+    out_arcs, out_heads = res.topology.adjacency()
     to, residual = res.to, res.residual
 
     height = [0] * n
@@ -44,9 +43,7 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
     height[s] = n
     count[0] = n - 1
     count[n] = 1
-    # per-node current-arc cursor: absolute index into the flat arcs array,
-    # ranging over [indptr[u], indptr[u+1])
-    it = list(indptr[:n])
+    it = [0] * n  # per-node current-arc cursor into out_arcs[u]
 
     active: deque[int] = deque()
     in_active = [False] * n
@@ -59,11 +56,9 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
             active.append(v)
 
     # saturate every source arc
-    for i in range(indptr[s], indptr[s + 1]):
-        a = arcs[i]
+    for a, v in zip(out_arcs[s], out_heads[s]):
         cap = residual[a]
         if cap > 0:
-            v = to[a]
             res.push(a, cap)
             excess[v] += cap
             excess[s] -= cap
@@ -84,11 +79,7 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
         relabels += 1
         old = height[u]
         new = min(
-            (
-                height[to[arcs[i]]]
-                for i in range(indptr[u], indptr[u + 1])
-                if residual[arcs[i]] > 0
-            ),
+            (height[v] for a, v in zip(out_arcs[u], out_heads[u]) if residual[a] > 0),
             default=2 * n - 1,
         ) + 1
         count[old] -= 1
@@ -101,19 +92,20 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
                     count[height[w]] += 1
         height[u] = new
         count[new] += 1
-        it[u] = indptr[u]
+        it[u] = 0
 
     def discharge(u: int) -> None:
-        end = indptr[u + 1]
+        arcs_u, heads_u = out_arcs[u], out_heads[u]
+        end = len(arcs_u)
         while excess[u] > 0:
-            if it[u] == end:
+            k = it[u]
+            if k == end:
                 relabel(u)
                 if height[u] >= 2 * n:
                     break
                 continue
-            a = arcs[it[u]]
-            if residual[a] > 0 and height[u] == height[to[a]] + 1:
-                push(u, a)
+            if residual[arcs_u[k]] > 0 and height[u] == height[heads_u[k]] + 1:
+                push(u, arcs_u[k])
             else:
                 it[u] += 1
 
@@ -164,14 +156,15 @@ def push_relabel(problem: FlowProblem, variant: Variant = "highest") -> FlowResu
             in_bucket[u] = False
             if u in (s, t) or excess[u] <= 0:
                 continue
-            end = indptr[u + 1]
+            arcs_u, heads_u = out_arcs[u], out_heads[u]
+            end = len(arcs_u)
             while excess[u] > 0 and height[u] < 2 * n:
-                if it[u] == end:
+                k = it[u]
+                if k == end:
                     relabel(u)
                     continue
-                a = arcs[it[u]]
-                if residual[a] > 0 and height[u] == height[to[a]] + 1:
-                    push_h(u, a)
+                if residual[arcs_u[k]] > 0 and height[u] == height[heads_u[k]] + 1:
+                    push_h(u, arcs_u[k])
                 else:
                     it[u] += 1
             if excess[u] > 0 and height[u] < 2 * n:

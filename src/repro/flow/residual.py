@@ -113,21 +113,20 @@ class FlowProblem:
 
 
 class FlowTopology:
-    """Immutable flat CSR over the paired residual arcs of a problem.
+    """Immutable per-node adjacency over the paired residual arcs of a problem.
 
-    Node ``u``'s outgoing residual arcs occupy ``arcs[indptr[u]:indptr[u+1]]``
-    in ascending original-arc id order, forward slot before backward, so
-    solvers that walk the arcs in order make bit-identical decisions.
-    ``to[a]`` is the head of residual arc ``a``.  :meth:`adjacency` holds
-    the same arcs as per-node lists beside their heads, for loops that
-    visit a whole neighbourhood.  Built once per topology and shared by
-    every fork — the parametric warm-start engine swaps ``problem`` (new
-    capacities, same tails/heads) without touching it — and, through
+    :meth:`adjacency` lists, per node ``u``, its outgoing residual arcs in
+    ascending original-arc id order, forward slot before backward, beside
+    their heads, so solvers that walk the arcs in order make bit-identical
+    decisions.  ``to[a]`` is the head of residual arc ``a``.  Built once
+    per topology and shared by every fork — the parametric warm-start
+    engine swaps ``problem`` (new capacities, same tails/heads) without
+    touching it — and, through
     :attr:`repro.graphs.extended.ExtendedGraph.flow_topology`, by every
     engine on one extended graph.
     """
 
-    __slots__ = ("n", "to", "indptr", "arcs", "_adjacency")
+    __slots__ = ("to", "_adjacency")
 
     def __init__(self, n: int, tails, heads) -> None:
         # Residual arc 2j leaves tails[j] and 2j + 1 leaves heads[j]; a
@@ -141,30 +140,25 @@ class FlowTopology:
         to = np.empty_like(owners)
         to[0::2] = heads
         to[1::2] = tails
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-        self.n = n
+        order = np.argsort(owners, kind="stable")
+        bounds = np.cumsum(np.bincount(owners, minlength=n))[:-1]
         self.to = to.tolist()
-        self.indptr = indptr.tolist()
-        self.arcs = np.argsort(owners, kind="stable").tolist()
-        self._adjacency: tuple[list[list[int]], list[list[int]]] | None = None
+        self._adjacency = ([a.tolist() for a in np.split(order, bounds)],
+                           [h.tolist() for h in np.split(to[order], bounds)])
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``(out_arcs, out_heads)``: per node, its residual arcs in CSR
-        order and their heads (``out_heads[u][k] == to[out_arcs[u][k]]``).
+        """``(out_arcs, out_heads)``: per node, its residual arcs in
+        ascending order and their heads (``out_heads[u][k] ==
+        to[out_arcs[u][k]]``).
 
-        Built on the first call and cached, so every solve on the topology
-        shares one copy.  Read-only, like the rest of the topology.
+        One copy per topology, shared by every solve on it.  Read-only,
+        like the rest of the topology.
         """
-        if self._adjacency is None:
-            indptr, arcs, to = self.indptr, self.arcs, self.to
-            out_arcs = [arcs[indptr[u] : indptr[u + 1]] for u in range(self.n)]
-            self._adjacency = (out_arcs, [[to[a] for a in al] for al in out_arcs])
         return self._adjacency
 
     def arcs_of(self, u: int) -> list[int]:
-        """Outgoing residual arcs of ``u``: the cached list, read-only."""
-        return self.adjacency()[0][u]
+        """Outgoing residual arcs of ``u``: the shared list, read-only."""
+        return self._adjacency[0][u]
 
 
 class Residual:
@@ -203,7 +197,7 @@ class Residual:
     def fork(self) -> "Residual":
         """An independent copy sharing the immutable topology arrays.
 
-        ``topology`` (and its ``to``/``indptr``/``arcs``) is never mutated
+        ``topology`` (its ``to`` and adjacency lists) is never mutated
         after construction, so forks alias it, and the read-only
         ``source_mask`` with it; only the ``residual`` array (the flow
         state) is copied.  This makes checkpoint/rollback in the

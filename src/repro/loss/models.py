@@ -76,10 +76,12 @@ class BernoulliLoss:
         out = np.zeros(selected.shape, dtype=bool)
         if self.p == 0.0:
             return out
-        for r, rng in enumerate(rngs):
-            idx = np.nonzero(selected[r])[0]
-            if len(idx):  # the engine skips the model when nothing transmitted
-                out[r, idx] = rng.random(len(idx)) < self.p
+        # one draw per replica, in replica order, skipping the replicas that
+        # sent nothing (as the engine skips the model); the boolean scatter
+        # fills ``selected`` row-major, so each row gets its own draws
+        draws = [rng.random(k) for rng, k in zip(rngs, selected.sum(axis=1).tolist()) if k]
+        if draws:
+            out[selected] = np.concatenate(draws) < self.p
         return out
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from repro.errors import SpecError
-from repro.flow.maxflow import max_flow
+from repro.flow.dinic import dinic
 from repro.flow.residual import FlowProblem
 from repro.flow.warmstart import ParametricMaxFlow
 from repro.mobility.trace import MobilityTrace
@@ -188,7 +188,6 @@ def feasibility_timeline(
     in_rates: Mapping[int, object],
     out_rates: Mapping[int, object],
     *,
-    algorithm: str = "dinic",
     block: int = 8,
     max_warm_delta: Optional[int] = 256,
 ) -> FeasibilityTimeline:
@@ -214,13 +213,13 @@ def feasibility_timeline(
             chunk = trace.snapshots[start : start + block]
             link_sets = [set(s.links) for s in chunk]
             core: set[tuple[int, int]] = set.intersection(*link_sets)
-            engine = ParametricMaxFlow(uni.problem(core), algorithm)
+            engine = ParametricMaxFlow(uni.problem(core))
             cold += 1
             _note_solve("cold")
             for snap, links in zip(chunk, link_sets):
                 extra = links - core
                 if max_warm_delta is not None and len(extra) > max_warm_delta:
-                    value = max_flow(uni.problem(links), algorithm).value
+                    value = dinic(uni.problem(links)).value
                     mode = "cold"
                     cold += 1
                 elif extra:
@@ -251,8 +250,6 @@ def feasibility_timeline_cold(
     trace: MobilityTrace,
     in_rates: Mapping[int, object],
     out_rates: Mapping[int, object],
-    *,
-    algorithm: str = "dinic",
 ) -> FeasibilityTimeline:
     """The differential oracle: one independent cold solve per snapshot.
 
@@ -264,7 +261,7 @@ def feasibility_timeline_cold(
     entries: list[TimelineEntry] = []
     for snap in trace.snapshots:
         links = set(snap.links)
-        value = max_flow(uni.problem(links), algorithm).value
+        value = dinic(uni.problem(links)).value
         _note_solve("cold")
         entries.append(TimelineEntry(
             t=snap.t, links=len(links), delta=len(links), mode="cold",

@@ -305,7 +305,7 @@ def region_response(envelope, report=None) -> dict:
             }
             for seg in envelope.segments
         ],
-        "algorithm": envelope.algorithm,
+        "algorithm": "dinic",
         "cold_solves": envelope.cold_solves,
         "probes": envelope.probes,
     }

@@ -491,7 +491,7 @@ class ReproServer:
                     # shard-affine dispatch: the worker owning this key's
                     # fingerprint range holds (or builds) its cache entry
                     out, hit = await asyncio.wrap_future(self.pool.submit(
-                        "classify", (spec, "dinic"),
+                        "classify", (spec,),
                         shard_key=canonical_spec_key(spec), trace=ctx,
                     ))
                     out["cache_hit"] = hit
@@ -521,7 +521,7 @@ class ReproServer:
                 ctx = sp.context() if sp.span_id is not None else None
                 if self.pool is not None:
                     out, hit = await asyncio.wrap_future(self.pool.submit(
-                        "region", (spec, direction, "dinic"),
+                        "region", (spec, direction),
                         shard_key=canonical_ray_key(spec, direction), trace=ctx,
                     ))
                     out["cache_hit"] = hit

@@ -90,17 +90,16 @@ def _warm_imports() -> None:
     import repro.serve.codec         # noqa: F401
 
 
-def _task_classify(cache: FeasibilityCache, spec, algorithm: str) -> tuple[dict, bool]:
+def _task_classify(cache: FeasibilityCache, spec) -> tuple[dict, bool]:
     """Classify through this worker's shard cache → (response json, hit)."""
     from repro.serve.codec import report_to_json
 
     before = cache.hits
-    report = cache.classify(spec, algorithm)
+    report = cache.classify(spec)
     return report_to_json(report), cache.hits > before
 
 
-def _task_region(cache: FeasibilityCache, spec, direction,
-                 algorithm: str) -> tuple[dict, bool]:
+def _task_region(cache: FeasibilityCache, spec, direction) -> tuple[dict, bool]:
     """Exact region frontier through this worker's shard cache.
 
     ``direction is None`` means the nominal injection ray, where the
@@ -110,10 +109,10 @@ def _task_region(cache: FeasibilityCache, spec, direction,
 
     before = cache.hits
     if direction is None:
-        report = cache.region(spec, algorithm)
+        report = cache.region(spec)
         body = region_response(report.envelope, report)
     else:
-        envelope = cache.envelope(spec, direction, algorithm)
+        envelope = cache.envelope(spec, direction)
         body = region_response(envelope)
     return body, cache.hits > before
 

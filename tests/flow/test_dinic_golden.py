@@ -5,7 +5,9 @@ rewrite that changes the order changes the flow it leaves behind even when
 the max-flow value agrees.  These literals pin, per instance, the
 ``(gained, phases, augmentations, arc_pushes)`` of a cold solve and of every
 kernel call a warm ladder makes, together with a sha256 of each final
-residual array.  A kernel change must reproduce them exactly.
+residual array.  A kernel change must reproduce them exactly.  The warm
+ladders start from a cold Dinic flow and, to pin the kernel on a flow it
+did not find itself, from a cold Edmonds–Karp flow.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ import repro.flow.warmstart as warmstart_module
 from repro.exp.workloads import bottleneck_spec
 from repro.flow import breakpoint_envelope, classify_network
 from repro.flow.dinic import augment_residual
+from repro.flow.oracles import ALGORITHMS
 from repro.flow.residual import FlowProblem, Residual
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -78,9 +81,10 @@ def cold_record(name) -> tuple:
     return _call_record(res, augment_residual(res))
 
 
-def warm_record(name, algorithm, monkeypatch) -> tuple:
+def warm_record(name, cold_solver, monkeypatch) -> tuple:
     """``(calls, phases, augmentations, arc_pushes, digest)`` over every
-    kernel call of an envelope and a classification on one ladder engine."""
+    kernel call of an envelope and a classification, each on one ladder
+    whose cold solve is ``ALGORITHMS[cold_solver]``."""
     calls = []
 
     def recording(res, **kwargs):
@@ -91,16 +95,18 @@ def warm_record(name, algorithm, monkeypatch) -> tuple:
     with monkeypatch.context() as patch:
         patch.setattr(dinic_module, "augment_residual", recording)
         patch.setattr(warmstart_module, "augment_residual", recording)
+        patch.setattr(warmstart_module, "dinic", ALGORITHMS[cold_solver])
         ext = _extended(name)
-        breakpoint_envelope(ext, algorithm=algorithm)
-        classify_network(ext, algorithm)
+        breakpoint_envelope(ext)
+        classify_network(ext)
     return (len(calls), sum(c[1] for c in calls), sum(c[2] for c in calls),
             sum(c[3] for c in calls), _digest(calls))
 
 
 #: Captured from the kernel before its per-node adjacency rewrite:
 #: ``cold`` is ``(gained, phases, augmentations, arc_pushes, residual digest)``,
-#: each engine ``(calls, phases, augmentations, arc_pushes, calls digest)``.
+#: each ladder's cold solver ``(calls, phases, augmentations, arc_pushes,
+#: calls digest)``.
 GOLDEN = {
     'ba-20/0': {
         'cold': ('3', 2, 3, 10, 'b4cc6f8cbfd20ba2'),
@@ -215,10 +221,10 @@ def test_cold_kernel_matches_golden(name):
     assert cold_record(name) == GOLDEN[name]["cold"]
 
 
-@pytest.mark.parametrize("algorithm", ["dinic", "edmonds_karp"])
+@pytest.mark.parametrize("cold_solver", ["dinic", "edmonds_karp"])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_warm_ladder_matches_golden(name, algorithm, monkeypatch):
-    assert warm_record(name, algorithm, monkeypatch) == GOLDEN[name][algorithm]
+def test_warm_ladder_matches_golden(name, cold_solver, monkeypatch):
+    assert warm_record(name, cold_solver, monkeypatch) == GOLDEN[name][cold_solver]
 
 
 def test_fallback_instance_runs_on_fractions(monkeypatch):

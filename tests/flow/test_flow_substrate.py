@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.flow import breakpoint_envelope, classify_network, classify_region
-from repro.flow.maxflow import ALGORITHMS
-from repro.flow.oracles import classify_network_cold
+from repro.flow.oracles import ALGORITHMS, classify_network_cold
+from repro.flow.feasibility import _exact_problem
 from repro.flow.parametric import _Ladder
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -41,7 +41,8 @@ def facts(value):
 
 
 def topology_state(topo):
-    return list(topo.to), list(topo.indptr), list(topo.arcs)
+    out_arcs, out_heads = topo.adjacency()
+    return list(topo.to), [list(a) for a in out_arcs], [list(h) for h in out_heads]
 
 
 def grid_spec():
@@ -61,9 +62,9 @@ class TestSharedSubstrate:
             assert ext.fixed_capacities.ints == fixed_before
             assert tuple(list(a) for a in ext.arc_lists) == arcs_before
 
-        a = _Ladder(ext, ext.in_rates, "dinic", first=Fraction(1))
+        a = _Ladder(ext, ext.in_rates, first=Fraction(1))
         assert_untouched()
-        b = _Ladder(ext, {0: Fraction(2, 3), 5: Fraction(5, 7)}, "dinic")
+        b = _Ladder(ext, {0: Fraction(2, 3), 5: Fraction(5, 7)})
         assert_untouched()
         for lam in (Fraction(3, 2), Fraction(7, 4), a.plateau):
             a.probe(lam)
@@ -138,15 +139,21 @@ class TestSharedSubstrate:
         # only each ladder's parametric arcs
         assert (ext.fixed_capacities is None) == (where == "out")
         reset_counters()
-        report = classify_network(ext, algorithm)
+        report = classify_network(ext)
         assert fraction_fallbacks_total() == 1
-        envelope = breakpoint_envelope(ext, algorithm=algorithm)
+        envelope = breakpoint_envelope(ext)
         assert fraction_fallbacks_total() == 2
-        classify_region(ext, algorithm)
+        classify_region(ext)
         assert fraction_fallbacks_total() == 3
         fresh = build_extended_graph(g, in_rates, out_rates)
         assert facts(report) == facts(classify_network_cold(fresh, algorithm))
-        assert facts(envelope) == facts(breakpoint_envelope(fresh, algorithm=algorithm))
+        assert facts(envelope) == facts(breakpoint_envelope(fresh))
+        # every segment's line is the cold max flow at an interior λ
+        for seg in envelope.segments:
+            lam = seg.lo + 1 if seg.hi is None else (seg.lo + seg.hi) / 2
+            caps = {v: lam * Fraction(r) for v, r in in_rates.items()}
+            cold = ALGORITHMS[algorithm](_exact_problem(fresh, source_cap_override=caps))
+            assert cold.value == seg.value_at(lam)
 
 
 class TestPickle:

@@ -20,10 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FlowError
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import _exact_problem, max_unsaturation_margin
-from repro.flow.maxflow import max_flow
 from repro.flow.oracles import (
+    ALGORITHMS,
     max_unsaturation_margin_cold,
     max_unsaturation_margin_probe,
 )
@@ -39,7 +38,7 @@ def _feasible_at(ext, eps: Fraction, algorithm: str = "dinic") -> bool:
     arrival = sum((Fraction(r) for r in ext.in_rates.values()),
                   start=Fraction(0))
     caps = {v: (1 + eps) * Fraction(r) for v, r in ext.in_rates.items()}
-    res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+    res = ALGORITHMS[algorithm](_exact_problem(ext, source_cap_override=caps))
     return res.value == (1 + eps) * arrival
 
 
@@ -86,10 +85,10 @@ class TestProbeBracketsExact:
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
     def test_probe_equals_cold_and_brackets_exact(self, algorithm, ext):
-        probe = max_unsaturation_margin_probe(ext, tol=TOL, algorithm=algorithm)
+        probe = max_unsaturation_margin_probe(ext, tol=TOL)
         cold = max_unsaturation_margin_cold(ext, tol=TOL, algorithm=algorithm)
         assert probe == cold  # exact Fraction equality, same bracket walk
-        exact = max_unsaturation_margin(ext, algorithm=algorithm)
+        exact = max_unsaturation_margin(ext)
         if probe >= 2**20:
             # bracket search bailed out on the unbounded-slack escape
             # hatch; the exact path keeps going
@@ -102,9 +101,14 @@ class TestProbeBracketsExact:
     @given(ext=random_networks())
     @settings(max_examples=10, deadline=None)
     def test_exact_identical_across_algorithms(self, ext):
-        values = {alg: max_unsaturation_margin(ext, algorithm=alg)
-                  for alg in sorted(ALGORITHMS)}
-        assert len(set(values.values())) == 1, values
+        """The exact margin is the frontier by cold solves of every oracle."""
+        margin = max_unsaturation_margin(ext)
+        for alg in sorted(ALGORITHMS):
+            if not _feasible_at(ext, Fraction(0), alg):
+                assert margin == 0
+                continue
+            assert _feasible_at(ext, margin, alg)
+            assert not _feasible_at(ext, margin + Fraction(1, 2**40), alg)
 
 
 class TestEdgePaths:

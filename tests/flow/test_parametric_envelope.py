@@ -14,6 +14,8 @@ against an independent oracle on random instances:
 * concavity and the GGT breakpoint bound: slopes strictly decrease
   left-to-right, and there are at most n − 1 breakpoints.
 * the one-cold-solve accounting is enforced through the obs counters.
+* the Dinic ladder's envelope equals cold solves by every solver in
+  :data:`repro.flow.oracles.ALGORITHMS`.
 """
 
 from fractions import Fraction
@@ -25,14 +27,12 @@ from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.errors import FlowError
-from repro.flow import ALGORITHMS
 from repro.flow.feasibility import (
     _exact_problem,
     classify_network,
     classify_region,
 )
-from repro.flow.maxflow import max_flow
-from repro.flow.oracles import max_unsaturation_margin_cold
+from repro.flow.oracles import ALGORITHMS, max_unsaturation_margin_cold
 from repro.flow.parametric import breakpoint_envelope
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -49,7 +49,7 @@ def _cold_value_at(ext, lam: Fraction, direction=None,
     caps = {v: Fraction(0) for v in ext.in_rates}
     for v, d in direction.items():
         caps[v] = lam * Fraction(d)
-    res = max_flow(_exact_problem(ext, source_cap_override=caps), algorithm)
+    res = ALGORITHMS[algorithm](_exact_problem(ext, source_cap_override=caps))
     return Fraction(res.value)
 
 
@@ -103,13 +103,17 @@ class TestLambdaStarOracle:
     @given(ext=random_networks())
     @settings(max_examples=8, deadline=None)
     def test_identical_across_algorithms(self, ext):
-        envs = {alg: breakpoint_envelope(ext, algorithm=alg)
-                for alg in sorted(ALGORITHMS)}
-        stars = {e.lambda_star for e in envs.values()}
-        assert len(stars) == 1, envs
-        lines = {tuple((s.lo, s.hi, s.slope, s.intercept)
-                       for s in e.segments) for e in envs.values()}
-        assert len(lines) == 1  # the envelope is canonical, cuts may differ
+        """λ* and every segment line equal cold solves by each oracle."""
+        env = breakpoint_envelope(ext)
+        arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
+        lam = env.lambda_star
+        for alg in sorted(ALGORITHMS):
+            assert _cold_value_at(ext, lam, algorithm=alg) == lam * arrival
+            over = lam + Fraction(1, 2**40)
+            assert _cold_value_at(ext, over, algorithm=alg) < over * arrival
+            for seg in env.segments:
+                mid = seg.lo + 1 if seg.hi is None else (seg.lo + seg.hi) / 2
+                assert _cold_value_at(ext, mid, algorithm=alg) == seg.value_at(mid)
 
 
 class TestSegmentCertificates:
@@ -199,6 +203,7 @@ class TestSolveAccounting:
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_envelope_is_one_cold_solve(self, algorithm):
+        """One cold solve per envelope; its f* matches each oracle's."""
         g = gen.random_gnp(10, 0.4, seed=11, ensure_connected=True)
         ext = build_extended_graph(g, {0: Fraction(3, 2), 1: Fraction(1)},
                                    {8: Fraction(2), 9: Fraction(2)})
@@ -206,13 +211,14 @@ class TestSolveAccounting:
         try:
             before_cold = self._total("repro_flow_solves_total")
             before_env = self._total("repro_flow_envelope_solves_total")
-            env = breakpoint_envelope(ext, algorithm=algorithm)
+            env = breakpoint_envelope(ext)
             assert self._total("repro_flow_solves_total") - before_cold == 1
             assert (self._total("repro_flow_envelope_solves_total")
                     - before_env) == 1
             assert env.cold_solves == 1
         finally:
             obs.configure(**prev)
+        assert env.f_star == _cold_value_at(ext, Fraction(2**20), algorithm=algorithm)
 
     def test_region_path_is_one_cold_solve_per_ray(self):
         """The acceptance criterion: classify_region = 1 cold solve."""

@@ -71,7 +71,7 @@ class TestVariants:
             if u != v:
                 arcs.append((int(u), int(v), int(rng.integers(0, 12))))
         p = problem(n, arcs, 0, n - 1)
-        assert push_relabel(p, variant).value == max_flow(p, "dinic").value
+        assert push_relabel(p, variant).value == max_flow(p).value
 
 
 class TestIsSDCut:

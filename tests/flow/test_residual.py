@@ -1,11 +1,12 @@
-"""Residual-network and FlowResult.check coverage."""
+"""Residual-network, FlowTopology and FlowResult.check coverage."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.errors import FlowError
-from repro.flow.residual import FlowProblem, FlowResult, Residual
+from repro.flow.residual import FlowProblem, FlowResult, FlowTopology, Residual
 
 
 def problem(n, arcs, s, t):
@@ -58,6 +59,52 @@ class TestResidual:
         # forward saturated everywhere, but backward arcs open the reverse
         assert r.reachable_from(0).tolist() == [True, False, False]
         assert r.reachable_from(2).tolist() == [True, True, True]
+
+
+def textbook_adjacency(n, tails, heads):
+    """Per node, its residual arcs in ascending id order (arc ``2j`` leaves
+    ``tails[j]``, ``2j + 1`` leaves ``heads[j]``) and their heads."""
+    out_arcs = [[] for _ in range(n)]
+    out_heads = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(zip(tails, heads)):
+        out_arcs[u].append(2 * j)
+        out_heads[u].append(v)
+        out_arcs[v].append(2 * j + 1)
+        out_heads[v].append(u)
+    return out_arcs, out_heads
+
+
+def random_multigraph(rng):
+    """Arcs on a few busy nodes, so parallel and antiparallel arcs (and the
+    odd self-loop) are common, plus nodes no arc touches."""
+    n = rng.randint(1, 12)
+    busy = rng.randint(1, n)
+    m = rng.choice([0, rng.randint(1, 30)])
+    tails = [rng.randrange(busy) for _ in range(m)]
+    heads = [rng.randrange(busy) for _ in range(m)]
+    return n, tails, heads
+
+
+class TestFlowTopology:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_adjacency_equals_textbook_construction(self, seed):
+        n, tails, heads = random_multigraph(random.Random(seed))
+        topo = FlowTopology(n, tails, heads)
+        assert topo.adjacency() == textbook_adjacency(n, tails, heads)
+        assert topo.to == [x for u, v in zip(tails, heads) for x in (v, u)]
+        assert all(topo.arcs_of(u) == topo.adjacency()[0][u] for u in range(n))
+
+    @pytest.mark.parametrize("n,tails,heads", [
+        (4, [], []),                                   # no arcs at all
+        (5, [0, 0, 1], [1, 1, 0]),                     # parallel + antiparallel
+        (6, [2, 3, 2], [3, 2, 3]),                     # nodes 0, 1, 4, 5 isolated
+    ], ids=["no-arcs", "parallel-antiparallel", "isolated-nodes"])
+    def test_adjacency_edge_cases(self, n, tails, heads):
+        topo = FlowTopology(n, tails, heads)
+        out_arcs, out_heads = topo.adjacency()
+        assert (out_arcs, out_heads) == textbook_adjacency(n, tails, heads)
+        assert len(out_arcs) == len(out_heads) == n
+        assert all(type(a) is int for arcs in out_arcs for a in arcs)
 
 
 class TestFlowResultCheck:

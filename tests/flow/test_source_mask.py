@@ -5,7 +5,8 @@ set of that BFS is exactly the set of nodes residually reachable from the
 source, so :meth:`FlowResult.source_side` reads it instead of traversing
 again.  Every case below checks the handed-over mask against a fresh
 :meth:`Residual.reachable_from` traversal, and that anything which moves
-flow drops it.
+flow drops it; across whole envelopes, also against the source side of a
+cold solve by each oracle solver.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 import repro.flow.warmstart as warmstart_module
 from repro.flow import ParametricMaxFlow, breakpoint_envelope, min_cut, source_arc_updates
 from repro.flow.dinic import augment_residual, dinic
+from repro.flow.oracles import ALGORITHMS
 from repro.flow.residual import FlowProblem
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
@@ -39,9 +41,9 @@ def assert_mask_is_reachability(res):
     assert mask.tolist() == res.reachable_from(res.problem.source).tolist()
 
 
-def warm_engine(algorithm="dinic", out_rates=None):
+def warm_engine(out_rates=None):
     ext = grid_ext(out_rates or {15: 3})
-    engine = ParametricMaxFlow(closed_problem(ext), algorithm)
+    engine = ParametricMaxFlow(closed_problem(ext))
     return ext, engine
 
 
@@ -79,14 +81,6 @@ class TestHandoff:
         engine.rescale(factor)
         assert_mask_is_reachability(engine.result.residual)
 
-    @pytest.mark.parametrize("algorithm", ["push_relabel", "push_relabel_fifo"])
-    def test_push_relabel_completion(self, algorithm):
-        ext, engine = warm_engine(algorithm)
-        assert engine.result.residual.source_mask is None  # cold push-relabel
-        engine.raise_arc_capacities(source_arc_updates(ext, IN_RATES))
-        assert engine.value > 0
-        assert_mask_is_reachability(engine.result.residual)
-
     def test_target_stopped_raise_has_no_mask(self):
         ext, engine = warm_engine(out_rates={15: 3, 10: 3})
         target = sum(IN_RATES.values())
@@ -119,10 +113,12 @@ class TestHandoff:
     {"family": "ba", "n": 20},
     {"family": "ws", "n": 16},
 ], ids=lambda p: p["family"])
-@pytest.mark.parametrize("algorithm", ["dinic", "edmonds_karp", "push_relabel"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_every_handed_mask_is_the_reachable_set(params, algorithm, monkeypatch):
     """Across whole envelopes, each kernel call either hands over the
-    exact reachable set or — only when stopped at its target — none."""
+    exact reachable set or — only when stopped at its target — none.  The
+    reachable set is the source-minimal min-cut side, so a cold solve of
+    the same capacities by any solver reaches the same nodes."""
     seen = {"masked": 0}
 
     def checking(res, **kwargs):
@@ -131,11 +127,14 @@ def test_every_handed_mask_is_the_reachable_set(params, algorithm, monkeypatch):
             assert kwargs.get("target_gain") is not None
         else:
             assert_mask_is_reachability(res)
+            cold = ALGORITHMS[algorithm](res.problem)
+            assert res.source_mask.tolist() == \
+                cold.residual.reachable_from(res.problem.source).tolist()
             seen["masked"] += 1
         return out
 
     monkeypatch.setattr(warmstart_module, "augment_residual", checking)
     for seed in range(3):
         spec = random_instance_spec({"sources": 3, "sinks": 2, **params}, seed)
-        breakpoint_envelope(spec.extended(), algorithm=algorithm)
+        breakpoint_envelope(spec.extended())
     assert seen["masked"] > 0

@@ -1,11 +1,12 @@
 """Differential correctness of the parametric warm-start engine.
 
 The load-bearing property: after any monotone schedule of capacity
-increases, the warm engine must be *indistinguishable* from a cold solve
-of the final problem — same exact-Fraction flow value, same canonical min
-cut, same cut kind, same uniqueness verdict — for every registered
-algorithm.  Hypothesis drives random problems through random schedules
-and compares at every step, not just the last.
+increases, the warm Dinic engine must be *indistinguishable* from a cold
+solve of the final problem by every solver in
+:data:`repro.flow.oracles.ALGORITHMS` — same exact-Fraction flow value,
+same canonical min cut, same cut kind, same uniqueness verdict.
+Hypothesis drives random problems through random schedules and compares
+at every step, not just the last.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 import repro.obs as obs
 from repro.errors import FlowError
 from repro.flow import (
-    ALGORITHMS,
     FlowProblem,
     ParametricMaxFlow,
     classify_network,
@@ -26,8 +26,7 @@ from repro.flow import (
     min_cut,
     source_arc_updates,
 )
-from repro.flow.oracles import classify_network_cold
-from repro.flow.maxflow import max_flow
+from repro.flow.oracles import ALGORITHMS, classify_network_cold
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.obs.metrics import get_registry
@@ -70,7 +69,7 @@ class TestDifferentialSchedules:
     @settings(max_examples=20, deadline=None)
     def test_every_step_matches_cold_solve(self, algorithm, case):
         problem, steps = case
-        engine = ParametricMaxFlow(problem, algorithm)
+        engine = ParametricMaxFlow(problem)
         caps = list(problem.capacities)
         for increments in steps:
             caps = _advance_caps(caps, increments)
@@ -81,7 +80,7 @@ class TestDifferentialSchedules:
                 n=problem.n, tails=problem.tails, heads=problem.heads,
                 capacities=caps, source=problem.source, sink=problem.sink,
             )
-            cold = max_flow(cold_problem, algorithm)
+            cold = ALGORITHMS[algorithm](cold_problem)
             warm = engine.result
             # exact Fraction equality, no tolerance
             assert warm.value == cold.value
@@ -117,8 +116,8 @@ class TestClassifyEquivalence:
     @given(ext=random_networks())
     @settings(max_examples=15, deadline=None)
     def test_warm_classify_equals_cold_classify(self, algorithm, ext):
-        warm = classify_network(ext, algorithm=algorithm)
-        cold = classify_network_cold(ext, algorithm=algorithm)
+        warm = classify_network(ext)
+        cold = classify_network_cold(ext, algorithm)
         assert warm.network_class == cold.network_class
         assert warm.arrival_rate == cold.arrival_rate
         assert warm.max_flow_value == cold.max_flow_value
@@ -137,10 +136,6 @@ class TestEngineBasics:
             capacities=(Fraction(2), Fraction(2), Fraction(2), Fraction(2)),
             source=0, sink=3,
         )
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(FlowError, match="unknown algorithm"):
-            ParametricMaxFlow(self._problem(), "simplex")
 
     def test_capacity_decrease_rejected(self):
         engine = ParametricMaxFlow(self._problem())
@@ -189,7 +184,9 @@ class TestOneColdSolveGuard:
     The whole point of the warm chain is that the ε-probe and f* steps
     are parametric, not fresh solves — ``repro_flow_solves_total`` (only
     incremented by the cold entry points) must advance by exactly 1 per
-    classify call, while the warm-step counter advances instead.
+    classify call, while the warm-step counter advances instead.  Each
+    case also checks the report's flow values against a cold solve by
+    one oracle, outside the counted window.
     """
 
     def _total(self, name):
@@ -206,7 +203,7 @@ class TestOneColdSolveGuard:
             for _call in range(3):
                 before_cold = self._total("repro_flow_solves_total")
                 before_warm = self._total("repro_flow_warm_solves_total")
-                report = classify_network(ext, algorithm=algorithm)
+                report = classify_network(ext)
                 # feasible networks take the ε-probe + f* warm steps; an
                 # infeasible one goes straight to f* (one warm step)
                 expected_warm = 2 if report.feasible else 1
@@ -215,13 +212,15 @@ class TestOneColdSolveGuard:
                         - before_warm) == expected_warm
         finally:
             obs.configure(**prev)
+        cold = classify_network_cold(ext, algorithm)
+        assert (report.max_flow_value, report.f_star) == (cold.max_flow_value, cold.f_star)
 
     def test_warm_counters_labelled_by_algorithm(self):
         g = gen.random_gnp(8, 0.5, seed=4, ensure_connected=True)
         ext = build_extended_graph(g, {0: 2}, {7: 3})
         prev = obs.configure(metrics=True)
         try:
-            classify_network(ext, algorithm="dinic")
+            classify_network(ext)
             reg = get_registry()
             warm = reg.counter("repro_flow_warm_solves_total", "", ("algorithm",))
             assert warm.labels(algorithm="dinic").value >= 1

@@ -13,8 +13,9 @@ asserts exact equality across randomized instances:
   tie-breaks x optional initial queues x optional queue recording, scalar
   and batched backends, full trajectory equality;
 * flow: all-integral and mixed-denominator capacity specs x every
-  registered algorithm, full report equality (envelopes: λ* and every
-  segment checked by independent cold solves), with the engagement
+  oracle solver, full report equality against the cold classifier
+  (envelopes: λ* and every segment checked by independent cold solves of
+  that solver), with the engagement
   counters asserting *zero* Fraction fallbacks on scalable specs and a
   recorded fallback (still exact) when a pathological denominator trips
   the magnitude guard.
@@ -33,10 +34,9 @@ from repro.core.ensemble import EnsembleSimulator
 from repro.core.tiebreak import TieBreak
 from repro.errors import SimulationError
 from repro.exp.workloads import bottleneck_spec
-from repro.flow import ALGORITHMS, breakpoint_envelope, classify_region
+from repro.flow import breakpoint_envelope, classify_region
 from repro.flow.feasibility import _exact_problem, classify_network
-from repro.flow.maxflow import max_flow
-from repro.flow.oracles import classify_network_cold
+from repro.flow.oracles import ALGORITHMS, classify_network_cold
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
 from repro.network import NetworkSpec
@@ -203,7 +203,7 @@ def _flow_instance(seed: int, denominators):
 
 def _cold_value_at(ext, lam, algorithm):
     caps = {v: lam * Fraction(r) for v, r in ext.in_rates.items()}
-    return max_flow(_exact_problem(ext, source_cap_override=caps), algorithm).value
+    return ALGORITHMS[algorithm](_exact_problem(ext, source_cap_override=caps)).value
 
 
 def assert_envelope_matches_cold(ext, env, algorithm):
@@ -236,15 +236,15 @@ class TestClassifyVsFractionOracle:
         for seed in (0, 1, 2):
             ext = _flow_instance(seed, denominators)
             reset_counters()
-            warm = classify_network(ext, algorithm)
+            warm = classify_network(ext)
             assert fraction_fallbacks_total() == 0, (
                 f"{label} spec must stay on the integer path"
             )
             cold = classify_network_cold(ext, algorithm)
             assert report_facts(warm) == report_facts(cold)
 
-            env = breakpoint_envelope(ext, algorithm=algorithm)
-            region = classify_region(ext, algorithm)
+            env = breakpoint_envelope(ext)
+            region = classify_region(ext)
             assert fraction_fallbacks_total() == 0, (
                 f"{label} envelope must stay on the integer path"
             )
@@ -257,7 +257,7 @@ class TestClassifyVsFractionOracle:
         # no positive source arc: the ladder has no parametric arcs to fit
         ext = build_extended_graph(gen.path(3), in_rates, {2: 1})
         reset_counters()
-        warm = classify_network(ext, algorithm)
+        warm = classify_network(ext)
         assert fraction_fallbacks_total() == 0
         cold = classify_network_cold(ext, algorithm)
         assert report_facts(warm) == report_facts(cold)
@@ -274,16 +274,16 @@ class TestClassifyVsFractionOracle:
         out_rates = {int(nodes[2]): 3}
         ext = build_extended_graph(g, in_rates, out_rates)
         reset_counters()
-        warm = classify_network(ext, algorithm)
+        warm = classify_network(ext)
         assert fraction_fallbacks_total() == 1
         cold = classify_network_cold(ext, algorithm)
         assert report_facts(warm) == report_facts(cold)
 
         reset_counters()
-        env = breakpoint_envelope(ext, algorithm=algorithm)
+        env = breakpoint_envelope(ext)
         assert fraction_fallbacks_total() == 1
         assert_envelope_matches_cold(ext, env, algorithm)
         reset_counters()
-        region = classify_region(ext, algorithm)
+        region = classify_region(ext)
         assert fraction_fallbacks_total() == 1
         assert region_facts(region) == region_facts(cold)

@@ -39,7 +39,7 @@ class TestTaskExecution:
 
         spec = parse_spec(SPEC_PAYLOAD)
         out, _hit = pool.submit(
-            "classify", (spec, "dinic"),
+            "classify", (spec,),
             shard_key=canonical_spec_key(spec),
         ).result(60)
         assert out == report_to_json(classify_network(spec.extended()))
@@ -62,9 +62,9 @@ class TestShardAffinity:
     def test_same_key_hits_worker_cache(self, pool):
         spec = parse_spec({**SPEC_PAYLOAD, "seed": 41})
         key = canonical_spec_key(spec)
-        _, hit1 = pool.submit("classify", (spec, "dinic"),
+        _, hit1 = pool.submit("classify", (spec,),
                               shard_key=key).result(60)
-        _, hit2 = pool.submit("classify", (spec, "dinic"),
+        _, hit2 = pool.submit("classify", (spec,),
                               shard_key=key).result(60)
         assert hit1 is False
         assert hit2 is True  # affinity routed it to the same shard owner
@@ -89,9 +89,10 @@ class TestShardAffinity:
 
 class TestErrorTransport:
     def test_worker_exception_reaches_caller(self, pool):
-        # a TypeError inside the handler (bad arity) must cross the pipe
+        # a TypeError inside the handler (bad arity: the task tuple of
+        # an engine choice that no longer exists) must cross the pipe
         with pytest.raises(TypeError):
-            pool.submit("classify", ("not-a-spec",)).result(30)
+            pool.submit("classify", ("not-a-spec", "dinic")).result(30)
 
     def test_unknown_kind_rejected_at_submit(self, pool):
         with pytest.raises(ServeError, match="unknown task kind"):

@@ -215,14 +215,6 @@ class TestFeasibilityCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.size == 1
 
-    def test_algorithm_is_part_of_the_key(self):
-        cache = FeasibilityCache()
-        spec = _line_spec()
-        a = cache.classify(spec, "dinic")
-        b = cache.classify(spec, "edmonds_karp")
-        assert cache.misses == 2 and cache.hits == 0
-        assert _report_fields(a)[:5] == _report_fields(b)[:5]
-
     def test_clear_and_stats(self):
         cache = FeasibilityCache()
         assert cache.hit_rate == 0.0

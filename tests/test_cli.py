@@ -1,5 +1,8 @@
 """CLI front-end tests."""
 
+import json
+
+import pytest
 
 from repro.cli import main
 
@@ -82,6 +85,30 @@ class TestEnsemble:
         assert main(["ensemble", "--topology", "path", "--n", "4",
                      "--revelation", "zero", "--replicas", "2"]) == 2
         assert "retention" in capsys.readouterr().err
+
+
+class TestRegion:
+    GRID = ["region", "--topology", "grid", "--rows", "3", "--cols", "3",
+            "--out-rate", "2"]
+
+    def test_exact_frontier(self, capsys):
+        assert main(self.GRID) == 0
+        out = capsys.readouterr().out
+        assert "lambda*: 2" in out
+        assert "class: unsaturated  margin: 1" in out
+
+    def test_json_names_the_one_engine(self, capsys):
+        assert main(self.GRID + ["--json"]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert body["algorithm"] == "dinic"
+        assert body["lambda_star"] == "2"
+
+    def test_algorithm_option_is_gone(self, capsys):
+        # Dinic is the only production engine: argparse rejects the option
+        with pytest.raises(SystemExit) as exc:
+            main(self.GRID + ["--algorithm", "dinic"])
+        assert exc.value.code == 2
+        assert "--algorithm" in capsys.readouterr().err
 
 
 class TestSweep:
