@@ -34,3 +34,20 @@ def exp_fast(request):
 def perf_asserts(request):
     """False under --perf-smoke: measure and report, but don't gate."""
     return not request.config.getoption("--perf-smoke")
+
+
+@pytest.fixture
+def timed_mean(benchmark):
+    """Mean seconds per round of the bench's ``benchmark.pedantic`` run, or
+    ``None`` when pytest-benchmark's timing is off (``--benchmark-disable``
+    leaves ``benchmark.stats`` at ``None``).
+
+    The one way a bench reads its timed side.  Benches run every equality
+    assert first, then read the time; on ``None`` they skip the ratio, its
+    record and the floor.
+    """
+    def mean():
+        stats = benchmark.stats
+        return None if stats is None else stats["mean"]
+
+    return mean

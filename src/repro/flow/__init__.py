@@ -16,7 +16,9 @@ implements, from scratch:
   Dinic-on-residual re-augmentation,
 * :mod:`~repro.flow.parametric` — the Gallo–Grigoriadis–Tarjan breakpoint
   envelope: the exact critical scalar λ* and the full piecewise-linear
-  min-cut envelope along a ray in rate space, one cold solve per ray,
+  min-cut envelope along a ray in rate space; every ladder on one ``G*``
+  forks its shared λ = 0 rung (the graph's one cold solve) and reads the
+  ``f*`` plateau from a bank per ray support,
 * :mod:`~repro.flow.feasibility` — Definitions 3–4: feasible, unsaturated,
   saturated; the exact ε margin via the envelope; ``f*`` — all probes of
   the envelope's scaled-integer ladder (the cold twins live in

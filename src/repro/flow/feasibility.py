@@ -150,22 +150,25 @@ def certification_epsilon(ext) -> Fraction:
 def classify_network(ext) -> FeasibilityReport:
     """Full Definitions 3–4 classification of an extended graph ``G*``.
 
-    Three probes of one parametric ladder along the nominal injection ray
-    (the engine behind :func:`~repro.flow.parametric.breakpoint_envelope`):
-    a cold solve at λ = 1 gives the max flow and the source-minimal min
-    cut with its kind and uniqueness; a warm probe at λ = 1 + ε (the
-    a-priori :func:`certification_epsilon`, stopping early once the flow
-    reaches the probe's total source capacity) decides unsaturation; a
-    warm probe on the plateau gives ``f*``.  Infeasible networks skip the
-    ε probe.  The engines run on scaled integers, falling back to exact
-    ``Fraction`` past the magnitude guard (recorded in
-    ``repro_core_fraction_fallbacks_total``); reports are value-identical
-    either way, and to the cold oracle
+    A parametric ladder along the nominal injection ray (the engine
+    behind :func:`~repro.flow.parametric.breakpoint_envelope`), started
+    from the λ = 0 rung shared by every ladder on ``G*``: a warm rung at
+    λ = 1, forked from zero flow, gives the max flow and the
+    source-minimal min cut with its kind and uniqueness (its residual is
+    the one a cold solve at λ = 1 leaves); a warm probe at λ = 1 + ε
+    (the a-priori :func:`certification_epsilon`, stopping early once the
+    flow reaches the probe's total source capacity) decides
+    unsaturation; ``f*`` is the intercept of the plateau line banked on
+    ``G*`` (probed here only when no ladder with the nominal support has
+    yet).  Infeasible networks skip the ε probe.  The engines run on
+    scaled integers, falling back to exact ``Fraction`` past the
+    magnitude guard (recorded in ``repro_core_fraction_fallbacks_total``);
+    reports are value-identical either way, and to the cold oracle
     ``repro.flow.oracles.classify_network_cold``.
     """
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     with span("flow.classify") as sp:
-        ladder = _Ladder(ext, ext.in_rates, first=Fraction(1))
+        ladder = _Ladder(ext, ext.in_rates)
         value, engine = ladder.probe(Fraction(1))
         result = engine.result
         cut = min_cut(result)
@@ -183,7 +186,7 @@ def classify_network(ext) -> FeasibilityReport:
                 network_class = NetworkClass.UNSATURATED
             else:
                 network_class, eps = NetworkClass.SATURATED, None
-        fs = ladder.probe(ladder.plateau)[0]
+        fs = ladder.plateau_line().intercept
         sp.set("fastpath", not ladder.fell_back)
 
     return FeasibilityReport(
@@ -204,8 +207,9 @@ def max_unsaturation_margin(ext) -> Fraction:
     This is the ε of Definition 4 maximised: ``λ* − 1`` along the nominal
     injection ray, with λ* the exact critical scalar from the parametric
     breakpoint envelope — a :class:`~fractions.Fraction`, not a bisection
-    bracket.  Returns 0 for saturated/infeasible networks.  One cold
-    solve per call; every envelope evaluation is a warm parametric step.
+    bracket.  Returns 0 for saturated/infeasible networks.  Every
+    envelope evaluation is a warm parametric step from the λ = 0 rung
+    shared on ``G*`` (its one cold solve).
     """
     arrival = sum((Fraction(r) for r in ext.in_rates.values()), start=Fraction(0))
     if arrival <= 0:
@@ -265,9 +269,10 @@ def classify_region(ext, *, envelope: BreakpointEnvelope | None = None) -> Regio
     The verdict is a pure function of the exact critical scalar: λ* > 1
     means unsaturated (positive slack), λ* = 1 saturated (feasible at the
     nominal rates — the feasible set along a ray is closed — but with
-    zero slack), λ* < 1 infeasible.  The envelope costs exactly one cold
-    solve (the trivial λ = 0 base) plus a handful of warm probes, and the
-    reported ``lambda_star``/``margin`` are exact Fractions.
+    zero slack), λ* < 1 infeasible.  The envelope costs a handful of warm
+    probes from the λ = 0 rung shared on ``G*`` (the graph's one cold
+    solve), and the reported ``lambda_star``/``margin`` are exact
+    Fractions.
 
     Pass a precomputed ``envelope`` (along the nominal injection ray) to
     skip the solve entirely.

@@ -12,10 +12,18 @@ a minimum of finitely many lines — concave, piecewise linear, with at
 most ``n − 2`` breakpoints (Gallo–Grigoriadis–Tarjan).  This module
 computes the *entire* envelope exactly, by Eisner–Severance divide and
 conquer over the existing :class:`~repro.flow.warmstart.ParametricMaxFlow`
-fork/re-augment machinery: one cold solve at ``λ = 0`` (trivial — every
-source arc is closed), then every probe is a warm re-augmentation forked
+fork/re-augment machinery: every probe is a warm re-augmentation forked
 from the nearest smaller ``λ`` already solved, so capacity schedules
 stay monotone along every fork chain.
+
+Two things do not depend on the ray and are banked on ``G*``, shared by
+every ladder on it: the ``λ = 0`` rung (zero flow, every source arc
+closed — the graph's one cold solve, :attr:`ExtendedGraph.base_rung`)
+and the plateau line (slope 0, value ``f*``), which is the
+source-minimal min cut of ``G*`` with the ray's supported source arcs
+uncapped and so depends only on that support
+(:attr:`ExtendedGraph.plateau_lines`).  An envelope's ``probes`` count
+its own refine probes only, a pure function of ``G*`` and the ray.
 
 The payoff is the exact critical scalar
 
@@ -26,11 +34,11 @@ ray — instead of a bisection bracket.  ``max_unsaturation_margin`` and
 the region experiments ride on it.
 
 The same ladder of warm engines answers Definitions 3–4 for
-:func:`~repro.flow.feasibility.classify_network`: it cold-solves at
-``λ = 1`` and probes ``1 + ε`` and the plateau.  Engines run on scaled
-integers (:mod:`repro.numeric`) and fall back to ``Fraction`` past the
-magnitude guard; results are ``Fraction``s either way, and no floats
-enter.
+:func:`~repro.flow.feasibility.classify_network`: it forks the shared
+``λ = 0`` rung to ``λ = 1``, probes ``1 + ε`` and reads ``f*`` from the
+plateau bank.  Engines run on scaled integers (:mod:`repro.numeric`)
+and fall back to ``Fraction`` past the magnitude guard; results are
+``Fraction``s either way, and no floats enter.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.flow.residual import FlowError, FlowProblem
+from repro.flow.residual import FlowError
 from repro.flow.warmstart import ParametricMaxFlow
 from repro.graphs.extended import ExtendedGraph
 from repro.numeric import INT_SCALE_LIMIT, note_fraction_fallback, scale_int
@@ -164,11 +172,15 @@ class _Line(NamedTuple):
 class _Ladder:
     """Warm-engine bank along one ray: solved λ values with their engines.
 
-    The one engine behind every feasibility question.  ``__init__`` pays
-    the only cold solve, at ``first``; ``probe(λ)`` forks the engine at
-    the largest solved ``λ' ≤ λ`` and re-augments the parametric arcs up
-    to ``λ · d`` — monotone by construction, so
-    :meth:`ParametricMaxFlow.raise_arc_capacities` never sees a decrease.
+    The one engine behind every feasibility question.  It starts from the
+    λ = 0 rung of ``G*`` (:attr:`ExtendedGraph.base_rung`, the only cold
+    solve, shared by every ladder on the graph and never mutated);
+    ``probe(λ)`` forks the engine at the largest solved ``λ' ≤ λ`` and
+    re-augments the parametric arcs up to ``λ · d`` — monotone by
+    construction, so :meth:`ParametricMaxFlow.raise_arc_capacities` never
+    sees a decrease.  :meth:`plateau_line` reads the slope-0 line from the
+    bank on ``G*`` and probes it only when no ladder with this support
+    has yet.
 
     Number policy: every engine runs on integers, its capacities scaled
     by one common denominator (:mod:`repro.numeric`).  A fork whose probe
@@ -178,8 +190,7 @@ class _Ladder:
     later fork of this ladder, and the ladder records one fallback.
     """
 
-    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Fraction],
-                 first: Fraction = Fraction(0)) -> None:
+    def __init__(self, ext: ExtendedGraph, direction: Mapping[int, Fraction]) -> None:
         self._ext = ext
         self.fell_back = False
         # Source arcs outside the direction support stay pinned to their
@@ -189,44 +200,29 @@ class _Ladder:
             d = direction.get(int(ext.refs[j]))
             if d is not None:
                 self._param_arcs[j] = Fraction(d)
-        first_caps = {j: first * d for j, d in self._param_arcs.items()}
 
-        # The fixed capacities are the extended graph's, aliased on its
-        # own scale; only the parametric arcs decide this ladder's scale.
+        # The base rung carries the fixed capacities on the extended
+        # graph's own scale; only the parametric arcs refine it.
+        base = ext.base_rung
+        self._fixed_caps = base.problem.capacities
         fixed = ext.fixed_capacities
         scale = None
-        if fixed is not None:
-            self._fixed_caps, self._fixed_den = fixed.ints, fixed.denominator
-            self._fixed_top = max(fixed.ints, default=0)
-            scale = self._fit_scale(fixed.denominator, first_caps.values())
-        if scale is None:
+        if fixed is None:
             self._fall_back()
-            self._fixed_caps = [Fraction(c) for c in ext.capacities]
-            for j in ext.source_arcs:
-                self._fixed_caps[j] = Fraction(0)
-            self._fixed_den = k = 1
+            self._fixed_den = 1
         else:
-            k = scale // self._fixed_den
-            first_caps = {j: scale_int(c, scale) for j, c in first_caps.items()}
-        caps = [c * k for c in self._fixed_caps] if k > 1 else list(self._fixed_caps)
-        for j, c in first_caps.items():
-            caps[j] = c
-        problem = FlowProblem._trusted(
-            n=ext.n, tails=ext.arc_lists[0], heads=ext.arc_lists[1],
-            capacities=caps, source=ext.s_star, sink=ext.d_star,
-            topology=ext.flow_topology)
-        self._lams = [Fraction(first)]
-        self._rungs = [(ParametricMaxFlow(problem), scale)]
+            scale = self._fixed_den = fixed.denominator
+            self._fixed_top = max(fixed.ints, default=0)
+        self._lams = [Fraction(0)]
+        self._rungs = [(base, scale)]
         self.probes = 0
 
         # Past ``plateau`` every parametric arc carries more than the total
-        # sink capacity, so v(λ) is flat there; it sits above ``first`` so
-        # it is always a fresh rung.
+        # sink capacity, so v(λ) is flat there.
         total_out = sum((Fraction(r) for r in ext.out_rates.values()),
                         start=Fraction(0))
         d_min = min(self._param_arcs.values(), default=Fraction(1))
-        self.plateau = Fraction(max(ceil(Fraction(total_out + 1, d_min)),
-                                    ceil(first) + 1))
+        self.plateau = Fraction(max(ceil(Fraction(total_out + 1, d_min)), 1))
 
     def _fall_back(self) -> None:
         if not self.fell_back:
@@ -258,14 +254,14 @@ class _Ladder:
 
     def probe(self, lam: Fraction, *, target: Optional[Fraction] = None,
               ) -> tuple[Fraction, ParametricMaxFlow]:
-        """Exact ``v(lam)`` (``lam ≥ first``) and its engine, solved warm if new.
+        """Exact ``v(lam)`` (``lam ≥ 0``) and its engine, solved warm if new.
 
         ``target`` is an optional early stop: a value no flow at ``lam``
         can exceed (the total source capacity), passed on to
         :meth:`ParametricMaxFlow.raise_arc_capacities`.
         """
         i = bisect_right(self._lams, lam) - 1
-        assert i >= 0, f"ladder starts at λ={self._lams[0]}, cannot probe {lam}"
+        assert i >= 0, f"ladder starts at λ=0, cannot probe {lam}"
         if self._lams[i] != lam:
             engine = self._rungs[i][0].fork()
             caps = {j: lam * d for j, d in self._param_arcs.items()}
@@ -281,6 +277,24 @@ class _Ladder:
             self._rungs.insert(i, (engine, scale))
         engine, scale = self._rungs[i]
         return Fraction(engine.value, scale or 1), engine
+
+    def plateau_line(self) -> _Line:
+        """The slope-0 line of ``v(λ)``: its intercept is ``f*``.
+
+        Read from :attr:`ExtendedGraph.plateau_lines` under this ladder's
+        support; when no ladder has banked it yet, probed at ``plateau``
+        and banked.
+        """
+        bank = self._ext.plateau_lines
+        support = frozenset(self._param_arcs)
+        line = bank.get(support)
+        if line is None:
+            line = bank.setdefault(support, self.line_of(self.probe(self.plateau)[1]))
+        if line.slope != 0:
+            raise FlowError(
+                f"plateau cut still crosses parametric arcs at λ={self.plateau}"
+            )
+        return line
 
     def line_of(self, engine: ParametricMaxFlow) -> _Line:
         """The tangent line of the engine's min-side cut.
@@ -313,8 +327,12 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
     ``ext.in_rates``); nodes absent from it keep their source arcs closed
     for every λ.  Returns the full :class:`BreakpointEnvelope` — exact
     breakpoints, a min-cut certificate per segment, and the critical
-    scalar ``lambda_star`` — after exactly one cold solve; every other
-    evaluation is a warm re-augmentation.
+    scalar ``lambda_star``.  Every evaluation is a warm re-augmentation
+    forked from the ``λ = 0`` rung of ``G*`` (its one cold solve, paid
+    by the first ladder on the graph), and the plateau line comes from
+    the bank on ``G*`` (probed here when no ray with this support has
+    been evaluated yet).  ``probes`` counts the refine probes alone;
+    ``cold_solves`` is 1, the shared rung.
     """
     direction = _normalize_direction(ext, direction)
     arrival_slope = sum(direction.values(), start=Fraction(0))
@@ -333,13 +351,12 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
 
         # Tangent on the plateau: beyond λ_end every parametric arc's
         # capacity exceeds any possible flow (total fixed sink capacity
-        # + 1), so the binding cut excludes all of them — slope 0.
+        # + 1), so the binding cut excludes all of them — slope 0.  The
+        # line depends on the ray's support only, so it comes from the
+        # bank on G* and only the refine probes below are this ray's own.
         lam_end = ladder.plateau
-        line_end = ladder.line_of(ladder.probe(lam_end)[1])
-        if line_end.slope != 0:
-            raise FlowError(
-                f"plateau cut still crosses parametric arcs at λ={lam_end}"
-            )
+        line_end = ladder.plateau_line()
+        banked_probes = ladder.probes
 
         pieces: list[tuple[Fraction, Fraction, _Line]] = []
 
@@ -378,6 +395,7 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
             refine(lam_x, line_x, hi, line_hi)
 
         refine(Fraction(0), line0, lam_end, line_end)
+        probes = ladder.probes - banked_probes
 
         # Merge adjacent pieces that carry the same line, then stretch the
         # final (slope-0 plateau) piece to +∞.
@@ -404,11 +422,11 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
     if reg.enabled:
         lbl = {"algorithm": "dinic"}
         reg.counter("repro_flow_envelope_solves_total",
-                    "Breakpoint-envelope computations (one cold solve each).",
+                    "Breakpoint-envelope computations (one per ray).",
                     ("algorithm",)).labels(**lbl).inc()
         reg.counter("repro_flow_envelope_probes_total",
-                    "Warm parametric probes spent building envelopes.",
-                    ("algorithm",)).labels(**lbl).inc(ladder.probes)
+                    "Warm refine probes spent building envelopes.",
+                    ("algorithm",)).labels(**lbl).inc(probes)
 
     return BreakpointEnvelope(
         direction=tuple(sorted(direction.items())),
@@ -416,5 +434,5 @@ def breakpoint_envelope(ext: ExtendedGraph, direction=None) -> BreakpointEnvelop
         segments=tuple(segments),
         lambda_star=lambda_star,
         cold_solves=1,
-        probes=ladder.probes,
+        probes=probes,
     )

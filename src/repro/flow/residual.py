@@ -131,20 +131,23 @@ class FlowTopology:
     def __init__(self, n: int, tails, heads) -> None:
         # Residual arc 2j leaves tails[j] and 2j + 1 leaves heads[j]; a
         # stable sort by owner keeps each node's arcs in ascending order,
-        # forward slot before backward.
+        # forward slot before backward.  Owners take the narrowest type
+        # that holds n, on which NumPy's stable sort is a radix sort.
         tails = np.asarray(tails, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
-        owners = np.empty(2 * len(tails), dtype=np.int64)
+        owners = np.empty(2 * len(tails), dtype=np.min_scalar_type(n))
         owners[0::2] = tails
         owners[1::2] = heads
-        to = np.empty_like(owners)
+        to = np.empty(2 * len(tails), dtype=np.int64)
         to[0::2] = heads
         to[1::2] = tails
         order = np.argsort(owners, kind="stable")
-        bounds = np.cumsum(np.bincount(owners, minlength=n))[:-1]
+        ends = np.cumsum(np.bincount(owners, minlength=n)).tolist()
+        starts = [0, *ends[:-1]]
+        arcs, arc_heads = order.tolist(), to[order].tolist()
         self.to = to.tolist()
-        self._adjacency = ([a.tolist() for a in np.split(order, bounds)],
-                           [h.tolist() for h in np.split(to[order], bounds)])
+        self._adjacency = ([arcs[a:b] for a, b in zip(starts, ends)],
+                           [arc_heads[a:b] for a, b in zip(starts, ends)])
 
     def adjacency(self) -> tuple[list[list[int]], list[list[int]]]:
         """``(out_arcs, out_heads)``: per node, its residual arcs in

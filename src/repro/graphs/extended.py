@@ -19,10 +19,12 @@ solving flows on it is the job of :mod:`repro.flow`.
 
 One ``G*`` is the flow substrate of every verdict on its network, so it
 also carries what every solve over it shares: the residual
-:class:`~repro.flow.residual.FlowTopology` and the non-source capacities
-scaled to one integer denominator.  Both are built on first use and then
-aliased by every parametric ladder (``classify_network``, the envelope,
-``classify_region``, the margin) — never mutated.
+:class:`~repro.flow.residual.FlowTopology`, the non-source capacities
+scaled to one integer denominator, the λ = 0 rung of the parametric
+ladder (its one cold solve) and the plateau line per ray support.  Each
+is built on first use and then shared by every parametric ladder
+(``classify_network``, the envelope, ``classify_region``, the margin) —
+never mutated.
 :func:`extended_graph_of` memoizes the graph itself per topology epoch:
 it lives on the multigraph's cached
 :class:`~repro.graphs.csr.CSRTopology`, so a mutation retires it with
@@ -46,6 +48,7 @@ from repro.numeric import ScaledValues, try_scale
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.flow.residual import FlowTopology
+    from repro.flow.warmstart import ParametricMaxFlow
 
 __all__ = ["ArcKind", "ExtendedGraph", "build_extended_graph", "extended_graph_of"]
 
@@ -130,6 +133,41 @@ class ExtendedGraph:
         from repro.flow.residual import FlowTopology  # local import avoids a cycle
 
         return FlowTopology(self.n, self.tails, self.heads)
+
+    @cached_property
+    def base_rung(self) -> "ParametricMaxFlow":
+        """The λ = 0 rung every parametric ladder on ``G*`` starts from.
+
+        The one cold solve per ``G*``: zero flow on the fixed capacities,
+        every source arc closed, on ``fixed_capacities.denominator`` (on
+        ``Fraction`` when that scale is ``None``).  It is the same for
+        every ray, so ladders only ever fork it — read-only.
+        """
+        from repro.flow.residual import FlowProblem  # local imports avoid a cycle
+        from repro.flow.warmstart import ParametricMaxFlow
+
+        fixed = self.fixed_capacities
+        if fixed is not None:
+            caps = fixed.ints
+        else:
+            caps = [Fraction(c) for c in self.capacities]
+            for j in self.source_arcs:
+                caps[j] = Fraction(0)
+        tails, heads = self.arc_lists
+        return ParametricMaxFlow(FlowProblem._trusted(
+            n=self.n, tails=tails, heads=heads, capacities=caps,
+            source=self.s_star, sink=self.d_star, topology=self.flow_topology))
+
+    @cached_property
+    def plateau_lines(self) -> dict:
+        """The plateau line of ``v(λ)`` per ray support, banked by the first
+        ladder that probes it.
+
+        Keyed by the ``frozenset`` of parametric source arcs: the plateau
+        (slope 0, value ``f*``) is the source-minimal min cut of ``G*`` with
+        those arcs uncapped, whatever the ray's weights.
+        """
+        return {}
 
     def arcs_of_kind(self, kind: ArcKind) -> np.ndarray:
         """Indices of arcs with the given provenance."""

@@ -476,8 +476,9 @@ class ReproServer:
 
     async def _classify(self, request: _HttpRequest) -> dict:
         # Cache misses run classify_network's warm-started parametric chain
-        # (one cold solve + two incremental re-augmentations), so even an
-        # all-miss workload pays far less than three solves per request.
+        # (incremental re-augmentations from the λ = 0 rung shared on the
+        # spec's G*), so even an all-miss workload pays far less than
+        # three solves per request.
         with span("admission"):
             ticket = self.admission.try_admit()
         with ticket:

@@ -181,10 +181,12 @@ class FeasibilityCache:
     def classify(self, spec: NetworkSpec) -> "FeasibilityReport":
         """``classify_network(spec.extended())``, memoized.
 
-        A miss pays exactly one cold max-flow solve: ``classify_network``
-        cold-solves at the nominal rates (λ = 1), then probes λ = 1 + ε
-        (feasible networks only) and the ``f*`` plateau as warm steps of
-        one parametric ladder.
+        A miss runs one parametric ladder from the λ = 0 rung shared on
+        ``spec.extended()``: warm steps at the nominal rates (λ = 1) and
+        at λ = 1 + ε (feasible networks only), and ``f*`` from the
+        plateau bank.  The graph's one cold solve (the λ = 0 rung) and
+        its plateau probe are paid by whichever of classify, region or
+        envelope reaches the graph first.
         """
         def compute():
             from repro.flow.feasibility import classify_network
@@ -199,7 +201,7 @@ class FeasibilityCache:
         Banks the full exact envelope — λ*, breakpoints, per-segment cut
         certificates — under :func:`canonical_ray_key`, so repeated
         region queries (serve ``/v1/region``, sweeps, the CLI) pay the
-        one-cold-solve parametric computation once per (network, ray).
+        parametric computation once per (network, ray).
         """
         return self._envelope(spec, direction, canonical_ray_key(spec, direction))
 

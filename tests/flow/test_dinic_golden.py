@@ -4,16 +4,22 @@ The kernel's visiting order decides which augmenting paths it finds, so a
 rewrite that changes the order changes the flow it leaves behind even when
 the max-flow value agrees.  These literals pin, per instance, the
 ``(gained, phases, augmentations, arc_pushes)`` of a cold solve and of every
-kernel call a warm ladder makes, together with a sha256 of each final
-residual array.  A kernel change must reproduce them exactly.  The warm
-ladders start from a cold Dinic flow and, to pin the kernel on a flow it
-did not find itself, from a cold Edmonds–Karp flow.
+kernel call along a fixed ladder schedule, together with a sha256 of each
+final residual array.  A kernel change must reproduce them exactly.
+
+The schedules (``SCHEDULES``) are replayed by a small fork-from-largest-λ′
+helper, so the kernel literals do not move when the production ladder
+changes which λ it probes.  Each replayed ladder starts from a cold Dinic
+flow and, to pin the kernel on a flow it did not find itself, from a cold
+Edmonds–Karp flow.  The ``PRODUCTION`` literals pin what the production
+envelope and classification run on a fresh ``G*``.
 """
 
 import hashlib
 import random
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -21,11 +27,14 @@ import repro.flow.dinic as dinic_module
 import repro.flow.warmstart as warmstart_module
 from repro.exp.workloads import bottleneck_spec
 from repro.flow import breakpoint_envelope, classify_network
+from repro.flow.feasibility import certification_epsilon
 from repro.flow.dinic import augment_residual
 from repro.flow.oracles import ALGORITHMS
 from repro.flow.residual import FlowProblem, Residual
+from repro.flow.warmstart import ParametricMaxFlow
 from repro.graphs import build_extended_graph
 from repro.graphs import generators as gen
+from repro.numeric import INT_SCALE_LIMIT, scale_int
 from repro.sweep import random_instance_spec
 
 #: Small versions of the region-map families, three seeds each (plus one
@@ -81,32 +90,143 @@ def cold_record(name) -> tuple:
     return _call_record(res, augment_residual(res))
 
 
-def warm_record(name, cold_solver, monkeypatch) -> tuple:
-    """``(calls, phases, augmentations, arc_pushes, digest)`` over every
-    kernel call of an envelope and a classification, each on one ladder
-    whose cold solve is ``ALGORITHMS[cold_solver]``."""
+#: Per instance, the λ of every rung a ladder along the nominal ray
+#: solved for an envelope and then for a classification, each starting at
+#: its cold solve; captured from the ladder that cold-solved every call
+#: and probed its own plateau.
+SCHEDULES = {
+    'ba-20/0': (('0', '7', '3/4'), ('1', '7')),
+    'ba-20/1': (('0', '4', '3/5'), ('1', '4')),
+    'ba-20/2': (('0', '6', '1'), ('1', '15/14', '6')),
+    'e03-infeasible': (('0', '9', '4/5'), ('1', '9')),
+    'e03-saturated': (('0', '9', '1'), ('1', '13/12', '9')),
+    'fraction-fallback': (('0', '4', '1/393530540239137101142'), ('1', '4')),
+    'geometric-14/0': (('0', '3', '1/2'), ('1', '3')),
+    'geometric-14/1': (('0', '5', '4/5'), ('1', '5')),
+    'geometric-14/2': (('0', '7', '3/5', '1/2', '2/3'), ('1', '7')),
+    'gnp-10/0': (('0', '4', '3/5'), ('1', '4')),
+    'gnp-10/1': (('0', '6', '5/3'), ('1', '11/10', '6')),
+    'gnp-10/2': (('0', '7', '6/5'), ('1', '15/14', '7')),
+    'gnp-16/0': (('0', '3', '1/2'), ('1', '3')),
+    'gnp-16/1': (('0', '4', '3/5'), ('1', '4')),
+    'gnp-16/2': (('0', '5', '4/5'), ('1', '5')),
+    'gnp-60': (('0', '7', '3/2'), ('1', '13/12', '7')),
+    'grid-3x4-rational': (('0', '6', '12/13'), ('1', '6')),
+    'grid-4x4': (('0', '4', '2/3'), ('1', '4')),
+    'ws-16/0': (('0', '3', '1/2'), ('1', '3')),
+    'ws-16/1': (('0', '4', '3/5'), ('1', '4')),
+    'ws-16/2': (('0', '5', '4/5'), ('1', '5')),
+}
+
+
+def replay(ext, lams) -> None:
+    """Solve the rungs ``lams`` of a ladder along the nominal ray of ``G*``.
+
+    ``lams[0]`` is a cold solve (by ``warmstart.dinic``); every later λ is
+    a warm step forked from the largest solved λ′ ≤ λ.  Capacities follow
+    the ladder's number policy: integers on the finest scale the rung
+    needs, rescaled on each fork, and ``Fraction`` for this and every
+    later fork once a scale would pass ``INT_SCALE_LIMIT``.  The λ = 1 + ε
+    probe stops at its total source capacity, like classify's.
+    """
+    fixed = ext.fixed_capacities
+    rates = {j: Fraction(ext.in_rates[int(ext.refs[j])]) for j in ext.source_arcs}
+    arrival = sum(rates.values())
+    eps_probe = 1 + certification_epsilon(ext)
+    top = max(fixed.ints)
+    fell_back = False
+
+    def fit(scale, lam):
+        nonlocal fell_back
+        if scale is not None and not fell_back:
+            caps = [lam * d for d in rates.values()]
+            new = lcm(scale, *(c.denominator for c in caps))
+            big = max([top * (new // fixed.denominator),
+                       *(c.numerator * (new // c.denominator) for c in caps)])
+            if max(new, big) <= INT_SCALE_LIMIT:
+                return new
+        fell_back = True
+        return None
+
+    def units(value, scale):
+        return value if scale is None else scale_int(value, scale)
+
+    first = Fraction(lams[0])
+    scale = fit(fixed.denominator, first)
+    caps = [Fraction(c) for c in ext.capacities]
+    for j, d in rates.items():
+        caps[j] = first * d
+    tails, heads = ext.arc_lists
+    rungs = {first: (ParametricMaxFlow(FlowProblem(
+        n=ext.n, tails=tails, heads=heads, capacities=[units(c, scale) for c in caps],
+        source=ext.s_star, sink=ext.d_star)), scale)}
+    for lam in map(Fraction, lams[1:]):
+        engine, scale = rungs[max(x for x in rungs if x <= lam)]
+        engine = engine.fork()
+        new = fit(scale, lam)
+        if scale is not None and new != scale:
+            engine.rescale(Fraction(1, scale) if new is None else new // scale)
+        target = lam * arrival if lam == eps_probe else None
+        engine.raise_arc_capacities(
+            {j: units(lam * d, new) for j, d in rates.items()},
+            target_value=None if target is None else units(target, new))
+        rungs[lam] = (engine, new)
+
+
+def _recorded(monkeypatch, run, record, cold_solver="dinic") -> list:
+    """``record(res, out)`` of every kernel call ``run()`` makes, cold
+    solves by ``ALGORITHMS[cold_solver]``."""
     calls = []
 
     def recording(res, **kwargs):
         out = augment_residual(res, **kwargs)
-        calls.append(_call_record(res, out))
+        calls.append(record(res, out))
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(dinic_module, "augment_residual", recording)
         patch.setattr(warmstart_module, "augment_residual", recording)
         patch.setattr(warmstart_module, "dinic", ALGORITHMS[cold_solver])
-        ext = _extended(name)
-        breakpoint_envelope(ext)
-        classify_network(ext)
+        run()
+    return calls
+
+
+def _kernel_calls(monkeypatch, run, cold_solver="dinic") -> tuple:
+    """``(calls, phases, augmentations, arc_pushes, calls digest)`` over
+    every kernel call ``run()`` makes."""
+    calls = _recorded(monkeypatch, run, _call_record, cold_solver)
     return (len(calls), sum(c[1] for c in calls), sum(c[2] for c in calls),
             sum(c[3] for c in calls), _digest(calls))
 
 
+def replay_schedules(name) -> None:
+    """The envelope's and then classify's schedule, each on its own
+    replayed ladder over one fresh ``G*``."""
+    ext = _extended(name)
+    for lams in SCHEDULES[name]:
+        replay(ext, lams)
+
+
+def run_production(name) -> None:
+    """``breakpoint_envelope`` and then ``classify_network`` on one fresh
+    ``G*``."""
+    ext = _extended(name)
+    breakpoint_envelope(ext)
+    classify_network(ext)
+
+
+def warm_record(name, cold_solver, monkeypatch) -> tuple:
+    return _kernel_calls(monkeypatch, lambda: replay_schedules(name), cold_solver)
+
+
+def production_record(name, monkeypatch) -> tuple:
+    return _kernel_calls(monkeypatch, lambda: run_production(name))
+
+
 #: Captured from the kernel before its per-node adjacency rewrite:
 #: ``cold`` is ``(gained, phases, augmentations, arc_pushes, residual digest)``,
-#: each ladder's cold solver ``(calls, phases, augmentations, arc_pushes,
-#: calls digest)``.
+#: each replayed ladder's cold solver ``(calls, phases, augmentations,
+#: arc_pushes, calls digest)``.
 GOLDEN = {
     'ba-20/0': {
         'cold': ('3', 2, 3, 10, 'b4cc6f8cbfd20ba2'),
@@ -216,6 +336,33 @@ GOLDEN = {
 }
 
 
+#: ``production_record`` of each instance: ``(calls, phases,
+#: augmentations, arc_pushes, calls digest)``.
+PRODUCTION = {
+    'ba-20/0': (4, 7, 11, 40, '23450436807ba536'),
+    'ba-20/1': (4, 10, 12, 54, '281c9bedcb468d10'),
+    'ba-20/2': (5, 11, 15, 62, '22499ac3fc545109'),
+    'e03-infeasible': (4, 3, 16, 80, 'aa518acae430756c'),
+    'e03-saturated': (5, 3, 12, 60, '603cd75e81d74159'),
+    'fraction-fallback': (4, 6, 10, 34, 'e3e45759525f202f'),
+    'geometric-14/0': (4, 6, 7, 29, '7fda5a5cf732d612'),
+    'geometric-14/1': (4, 8, 15, 57, '49a5e050421e7977'),
+    'geometric-14/2': (6, 14, 16, 86, '819916e6ca28c798'),
+    'gnp-10/0': (4, 4, 11, 35, 'e9efaa0e8155e657'),
+    'gnp-10/1': (5, 9, 18, 68, '5a4cdb3329594511'),
+    'gnp-10/2': (5, 9, 22, 78, 'aa0be13963b89bbd'),
+    'gnp-16/0': (4, 4, 8, 25, 'c383bf31e5d5a49b'),
+    'gnp-16/1': (4, 7, 12, 45, 'df85cbae42f100e8'),
+    'gnp-16/2': (4, 6, 13, 43, '6b1499e592de1601'),
+    'gnp-60': (5, 7, 20, 71, '7bd54d52e33556fb'),
+    'grid-3x4-rational': (4, 5, 10, 58, '65cfe780092cc9a6'),
+    'grid-4x4': (4, 5, 8, 56, '392d29d03ddf47c2'),
+    'ws-16/0': (4, 4, 7, 29, '445bf3969bcfe94e'),
+    'ws-16/1': (4, 7, 11, 41, '75fa287d56ae6291'),
+    'ws-16/2': (4, 7, 14, 57, '65ddf9f631e3cfe8'),
+}
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_cold_kernel_matches_golden(name):
     assert cold_record(name) == GOLDEN[name]["cold"]
@@ -225,6 +372,25 @@ def test_cold_kernel_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_warm_ladder_matches_golden(name, cold_solver, monkeypatch):
     assert warm_record(name, cold_solver, monkeypatch) == GOLDEN[name][cold_solver]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_production_schedule_matches_golden(name, monkeypatch):
+    assert production_record(name, monkeypatch) == PRODUCTION[name]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_production_is_the_schedule_without_classify_plateau(name, monkeypatch):
+    """Classify's λ = 1 rung, forked from the shared zero-flow λ = 0 rung,
+    leaves the residual a cold λ = 1 solve leaves, and its ``f*`` comes
+    from the plateau the envelope banked: the production kernel calls are
+    the replayed schedule's minus classify's last (compared by value; on
+    the ``Fraction`` fallback a fork's untouched zeros are ``Fraction``)."""
+    def calls(run):
+        return _recorded(monkeypatch, lambda: run(name),
+                         lambda res, out: (out, list(res.residual)))
+
+    assert calls(run_production) == calls(replay_schedules)[:-1]
 
 
 def test_fallback_instance_runs_on_fractions(monkeypatch):

@@ -62,11 +62,11 @@ class TestSharedSubstrate:
             assert ext.fixed_capacities.ints == fixed_before
             assert tuple(list(a) for a in ext.arc_lists) == arcs_before
 
-        a = _Ladder(ext, ext.in_rates, first=Fraction(1))
+        a = _Ladder(ext, ext.in_rates)
         assert_untouched()
         b = _Ladder(ext, {0: Fraction(2, 3), 5: Fraction(5, 7)})
         assert_untouched()
-        for lam in (Fraction(3, 2), Fraction(7, 4), a.plateau):
+        for lam in (Fraction(1), Fraction(3, 2), Fraction(7, 4), a.plateau):
             a.probe(lam)
             a.line_of(a.probe(lam)[1])
         for lam in (Fraction(1, 3), Fraction(11, 5), Fraction(13, 2), b.plateau):
@@ -74,6 +74,7 @@ class TestSharedSubstrate:
             assert_untouched()
         for ladder in (a, b):
             assert len(ladder._rungs) > 2
+            assert ladder._rungs[0][0] is ext.base_rung
             for engine, _scale in ladder._rungs:
                 assert engine._res.topology is topo
                 assert engine.problem.topology is topo

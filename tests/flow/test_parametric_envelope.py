@@ -203,25 +203,38 @@ class TestSolveAccounting:
 
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_envelope_is_one_cold_solve(self, algorithm):
-        """One cold solve per envelope; its f* matches each oracle's."""
+        """One cold solve per ``G*`` over any number of envelopes; only the
+        first ray of each support pays the plateau probe, and every
+        envelope's f* matches each oracle's."""
         g = gen.random_gnp(10, 0.4, seed=11, ensure_connected=True)
         ext = build_extended_graph(g, {0: Fraction(3, 2), 1: Fraction(1)},
                                    {8: Fraction(2), 9: Fraction(2)})
+        rays = [None, {0: 2, 1: 5}, {0: 1}, {0: Fraction(1, 3), 1: 1}, {0: 4}]
+        first_of_support = [True, False, True, False, False]
+        envelopes = []
         prev = obs.configure(metrics=True)
         try:
             before_cold = self._total("repro_flow_solves_total")
-            before_env = self._total("repro_flow_envelope_solves_total")
-            env = breakpoint_envelope(ext)
-            assert self._total("repro_flow_solves_total") - before_cold == 1
-            assert (self._total("repro_flow_envelope_solves_total")
-                    - before_env) == 1
-            assert env.cold_solves == 1
+            for ray, first in zip(rays, first_of_support):
+                before_warm = self._total("repro_flow_warm_solves_total")
+                before_env = self._total("repro_flow_envelope_solves_total")
+                env = breakpoint_envelope(ext, ray)
+                assert self._total("repro_flow_solves_total") - before_cold == 1
+                assert (self._total("repro_flow_envelope_solves_total")
+                        - before_env) == 1
+                assert (self._total("repro_flow_warm_solves_total")
+                        - before_warm) == env.probes + first
+                assert env.cold_solves == 1
+                envelopes.append(env)
         finally:
             obs.configure(**prev)
-        assert env.f_star == _cold_value_at(ext, Fraction(2**20), algorithm=algorithm)
+        for env in envelopes:
+            assert env.f_star == _cold_value_at(ext, Fraction(2**20), dict(env.direction),
+                                                algorithm=algorithm)
 
     def test_region_path_is_one_cold_solve_per_ray(self):
-        """The acceptance criterion: classify_region = 1 cold solve."""
+        """The acceptance criterion: classify_region = 1 cold solve, and a
+        classification on the same ``G*`` adds none."""
         g = gen.random_gnp(9, 0.5, seed=7, ensure_connected=True)
         ext = build_extended_graph(g, {0: 2, 1: 1}, {7: 2, 8: 1})
         prev = obs.configure(metrics=True)
@@ -229,9 +242,8 @@ class TestSolveAccounting:
             before = self._total("repro_flow_solves_total")
             report = classify_region(ext)
             assert self._total("repro_flow_solves_total") - before == 1
-            # versus the classify pipeline's two cold solves would be here:
-            # the envelope replaces base + ε-probe + f* entirely
             assert report.network_class is classify_network(ext).network_class
+            assert self._total("repro_flow_solves_total") - before == 1
         finally:
             obs.configure(**prev)
 
